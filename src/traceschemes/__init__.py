@@ -56,7 +56,6 @@ from .core import (
     SetSystem,
     TauOutOfRange,
     enumerate_own_subsets,
-    intersection_size,
     new_set_system,
     parse_set_system,
     render_set_system,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, ceil
 
-from .core import ParamsInvalid, SchemeParams
+from .core import ParamsInvalid, SchemeParams, _ceil_div
 
 
 class InconsistentBounds(Exception):
@@ -50,10 +50,6 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 def _upper(name: str, value: Fraction, note: str = "") -> BoundValue:

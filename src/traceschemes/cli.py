@@ -5,7 +5,7 @@ check-witness, stats.  Exit codes: 0 the property holds or the command
 succeeded, 1 the property is violated (witness on stdout), 2 usage or
 format error, 3 inconclusive (work budget or certified-mode gap).
 Diagnostics go to stderr; machine-readable results to stdout.  Output is
-byte-identical across runs and worker counts.
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from . import verify as verify_mod
 from .core import (
     SchemeError,
     SchemeParams,
+    _ceil_div,
     enumerate_own_subsets,
     parse_set_system,
     render_set_system,
@@ -68,7 +69,7 @@ def _cmd_construct(args) -> int:
         _require(args, "base", "d", "t")
         base = _load_system(args.base)
         desc = construct_mod.DesignDescriptor(
-            family="from-file", tau=-(-(base.w + args.d) // (args.t * args.t)),
+            family="from-file", tau=_ceil_div(base.w + args.d, args.t * args.t),
             v=base.v, w=base.w, detail=args.base)
         system, cert = construct_mod.extend_design(base, args.d, args.t, descriptor=desc)
         print(f"certificate: d={cert.d} t={cert.t} tau={cert.tau} "
@@ -243,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=int)
     p.add_argument("--mode", choices=["auto", "exhaustive", "certified"], default="auto")
     p.add_argument("--budget", type=int, default=verify_mod.DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker hint; results are identical for every value")
     p.add_argument("file")
     p.set_defaults(func=_cmd_verify)
 
@@ -293,9 +292,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "workers", 1) is not None and getattr(args, "workers", 1) < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except (SchemeError, OSError) as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, isqrt
 
-from .core import BudgetExceeded, ParamsInvalid, SetSystem, new_set_system
+from .core import BudgetExceeded, ParamsInvalid, SetSystem, _ceil_div, _mask, new_set_system
 from .gf import GF, gf
 from .verify import verify_design
 
@@ -257,7 +257,7 @@ def extend_design(base: SetSystem, d: int, t: int,
     w = base.w + d
     if w % tt != (d + 1) % tt:
         raise CongruenceViolated(f"width {base.w}+{d} is not d+1 (mod {tt})")
-    tau = -(-w // tt)
+    tau = _ceil_div(w, tt)
     outcome = verify_design(base, tau, 1)
     if not outcome.holds:
         raise NotADesign(f"base is not a {tau}-design with index 1: {outcome.detail}")
@@ -299,13 +299,11 @@ def greedy_packing_ts(v: int, w: int, t: int, budget: int = 10_000_000) -> SetSy
         raise ParamsInvalid(f"need v >= w >= t >= 2, got v={v} w={w} t={t}")
     if comb(v, w) > budget:
         raise BudgetExceeded(f"C({v},{w}) = {comb(v, w)} exceeds budget {budget}")
-    tau = -(-w // (t * t))
+    tau = _ceil_div(w, t * t)
     kept_masks: list[int] = []
     kept: list[tuple[int, ...]] = []
     for cand in _colex_subsets(v, w):
-        m = 0
-        for p in cand:
-            m |= 1 << p
+        m = _mask(cand)
         if all((m & km).bit_count() < tau for km in kept_masks):
             kept.append(cand)
             kept_masks.append(m)

@@ -54,6 +54,39 @@ def _mask(points: Iterable[int]) -> int:
     return m
 
 
+def _union(masks: Sequence[int], indices: Iterable[int]) -> int:
+    u = 0
+    for i in indices:
+        u |= masks[i]
+    return u
+
+
+def _points(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    pts = []
+    while mask:
+        low = mask & -mask
+        pts.append(low.bit_length() - 1)
+        mask ^= low
+    return pts
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def _int_token(token: str, signed: bool = True) -> int | None:
+    """The value of an ASCII decimal token, else None.
+
+    ``signed`` allows one leading '-'.  ``str.isdigit`` alone also accepts
+    non-ASCII digits such as '²', which ``int`` then rejects.
+    """
+    digits = token[1:] if signed and token.startswith("-") else token
+    if digits.isascii() and digits.isdigit():
+        return int(token)
+    return None
+
+
 @dataclass(frozen=True)
 class SetSystem:
     """Uniform set system over ground set {0, ..., v-1}.
@@ -72,17 +105,8 @@ class SetSystem:
     def m(self) -> int:
         return len(self.blocks)
 
-    def block_mask(self, index: int) -> int:
-        return self.masks[index]
-
     def union_mask(self, indices: Iterable[int]) -> int:
-        u = 0
-        for i in indices:
-            u |= self.masks[i]
-        return u
-
-    def points_of(self, mask: int) -> tuple[int, ...]:
-        return tuple(p for p in range(self.v) if mask >> p & 1)
+        return _union(self.masks, indices)
 
 
 def new_set_system(v: int, blocks: Sequence[Sequence[int]], width: int | None = None) -> SetSystem:
@@ -120,11 +144,6 @@ def new_set_system(v: int, blocks: Sequence[Sequence[int]], width: int | None = 
             raise DuplicateBlock(f"block {canon[i]!r} appears more than once")
     blocks_t = tuple(canon)
     return SetSystem(v=v, w=w, blocks=blocks_t, masks=tuple(_mask(b) for b in blocks_t))
-
-
-def intersection_size(a: Sequence[int], b: Sequence[int]) -> int:
-    """Number of points shared by two blocks."""
-    return len(set(a) & set(b))
 
 
 @dataclass(frozen=True)
@@ -197,17 +216,18 @@ def parse_set_system(text: str) -> SetSystem:
             vals = {}
             for f in fields[1:]:
                 key, _, num = f.partition("=")
-                if key not in ("v", "w", "m") or not num.lstrip("-").isdigit():
+                val = _int_token(num)
+                if key not in ("v", "w", "m") or val is None:
                     raise FormatError(f"line {lineno}: bad header field {f!r}")
-                vals[key] = int(num)
+                vals[key] = val
             if set(vals) != {"v", "w", "m"} or min(vals.values()) < 0:
                 raise FormatError(f"line {lineno}: bad header {line!r}")
             header = (vals["v"], vals["w"], vals["m"])
             continue
-        parts = line.split()
-        if not all(p.isdigit() for p in parts):
+        points = [_int_token(p, signed=False) for p in line.split()]
+        if None in points:
             raise FormatError(f"line {lineno}: trailing garbage {line!r}")
-        body.append([int(p) for p in parts])
+        body.append(points)
     if header is None:
         raise FormatError("missing 'setsystem' header line")
     v, w, m = header

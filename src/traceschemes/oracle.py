@@ -13,6 +13,7 @@ fails on the given input they return the blocking step instead of a trace.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -23,11 +24,24 @@ from .core import (
     SchemeError,
     SchemeParams,
     SetSystem,
+    _ceil_div,
     _mask,
+    _points,
     enumerate_own_subsets,
     new_set_system,
 )
-from .verify import CffCover, IppsAmbiguity, TsEvasion, check_witness
+from .verify import (
+    CffCover,
+    IppsAmbiguity,
+    TsEvasion,
+    _cover_common,
+    _find_cover,
+    _ipps_pirate_sets,
+    _point_blocks,
+    _ts_evasion,
+    _Work,
+    check_witness,
+)
 
 PROPERTIES = ("ts", "ipps", "cff")
 
@@ -78,126 +92,53 @@ class _SearchStop(Exception):
     pass
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def _points(mask: int) -> list[int]:
-    pts = []
-    while mask:
-        low = mask & -mask
-        pts.append(low.bit_length() - 1)
-        mask ^= low
-    return pts
-
-
 # ---------------------------------------------------------------------------
 # exhaustive optimum search
 
 
-def _ts_coalition_clean(masks: list[int], coal: tuple[int, ...],
-                        outsiders: list[int], w: int) -> bool:
-    union = 0
-    for i in coal:
-        union |= masks[i]
-    floor_thr = _ceil_div(w, len(coal))
-    elig = [masks[o] for o in outsiders if (masks[o] & union).bit_count() >= floor_thr]
-    if not elig:
-        return True
-    upoints = _points(union)
-    coal_masks = [masks[i] for i in coal]
-    for tpts in combinations(upoints, w):
-        tm = _mask(tpts)
-        thr = max((tm & cm).bit_count() for cm in coal_masks)
-        if any((tm & om).bit_count() >= thr for om in elig):
-            return False
-    return True
-
-
-def _ts_extension_ok(masks: list[int], w: int, t: int) -> bool:
+def _ts_extension_ok(masks: list[int], w: int, t: int, work: _Work) -> bool:
     # masks[-1] is the newly added block; only coalitions or outsiders
     # touching it can introduce a violation.
     new = len(masks) - 1
     for s in range(2, min(t, len(masks)) + 1):
         for rest in combinations(range(new), s - 1):
-            coal = rest + (new,)
             outs = [i for i in range(new) if i not in rest]
-            if outs and not _ts_coalition_clean(masks, coal, outs, w):
+            if _ts_evasion(masks, rest + (new,), outs, w, work) is not None:
                 return False
         for coal in combinations(range(new), s):
-            if not _ts_coalition_clean(masks, coal, [new], w):
+            if _ts_evasion(masks, coal, [new], w, work) is not None:
                 return False
     return True
 
 
-def _cover_exists(masks: list[int], allowed: list[int], target: int, limit: int,
-                  w: int) -> bool:
-    def rec(chosen: tuple[int, ...], covered: int) -> bool:
-        rest = target & ~covered
-        if rest == 0:
-            return True
-        depth_left = limit - len(chosen)
-        if depth_left <= 0 or rest.bit_count() > depth_left * w:
-            return False
-        p_bit = rest & -rest
-        for i in allowed:
-            if i not in chosen and masks[i] & p_bit:
-                if rec(chosen + (i,), covered | masks[i]):
-                    return True
-        return False
-
-    return limit > 0 and rec((), 0)
-
-
-def _cff_extension_ok(masks: list[int], w: int, t: int) -> bool:
+def _cff_extension_ok(masks: list[int], pb: list[list[int]], w: int, t: int,
+                      work: _Work) -> bool:
+    # The family without the new block is a CFF, so a cover of an old block
+    # b must use the new block: it is enough to cover what the new block
+    # leaves of b.  Those points lie outside the new block, so skipping b
+    # alone keeps the new block out of that search.
     new = len(masks) - 1
-    others = list(range(new))
-    if _cover_exists(masks, others, masks[new], min(t, new), w):
+    limit = min(t, new)
+    if _find_cover(masks, pb, masks[new], limit, w, work, new) is not None:
         return False
     for b in range(new):
-        allowed = [i for i in range(new) if i != b]
         residual = masks[b] & ~masks[new]
-        if residual == 0 or _cover_exists(masks, allowed, residual, min(t, new) - 1, w):
+        if residual == 0 or _find_cover(masks, pb, residual, limit - 1, w, work, b) is not None:
             return False
     return True
 
 
-def _ipps_family_ok(masks: list[int], w: int, t: int) -> bool:
-    m = len(masks)
-    se = min(t, m)
-    seen: set[tuple[int, ...]] = set()
-    for coal in combinations(range(m), se):
-        union = 0
-        for i in coal:
-            union |= masks[i]
-        upoints = _points(union)
-        if len(upoints) < w:
-            continue
-        for tpts in combinations(upoints, w):
-            if tpts in seen:
-                continue
-            seen.add(tpts)
-            tm = _mask(tpts)
-            common: set[int] | None = None
-
-            def rec(chosen: tuple[int, ...], covered: int) -> bool:
-                nonlocal common
-                rest = tm & ~covered
-                if rest == 0:
-                    cs = set(chosen)
-                    common = cs if common is None else common & cs
-                    return not common
-                if len(chosen) >= t:
-                    return False
-                p_bit = rest & -rest
-                for i in range(m):
-                    if i not in chosen and masks[i] & p_bit:
-                        if rec(chosen + (i,), covered | masks[i]):
-                            return True
-                return False
-
-            if rec((), 0):
-                return False
+def _ipps_extension_ok(masks: list[int], pb: list[list[int]], w: int, t: int,
+                       work: _Work) -> bool:
+    # The family without the new block is an IPPS, so a pirate set can lose
+    # its common parent only through a cover that contains the new block:
+    # only subsets of unions of coalitions with the new block need checking.
+    new = len(masks) - 1
+    coalitions = (rest + (new,) for rest in combinations(range(new), min(t, new + 1) - 1))
+    for tpts in _ipps_pirate_sets(masks, coalitions, (w,), work):
+        common = _cover_common(masks, pb, _mask(tpts), t, work)
+        if common is not None and not common:
+            return False
     return True
 
 
@@ -217,15 +158,19 @@ def exhaustive_optimal(p: SchemeParams, property: str,
     best: list[tuple[int, ...]] = []
     family: list[tuple[int, ...]] = []
     masks: list[int] = []
+    # pb[q] lists the family's blocks through point q, ascending, as the
+    # cover kernels expect; it is kept up to date as blocks come and go.
+    pb: list[list[int]] = [[] for _ in range(p.v)]
+    work = _Work(sys.maxsize)  # the node budget bounds the search instead
     nodes = 0
     complete = True
 
     def extension_ok() -> bool:
         if property == "ts":
-            return _ts_extension_ok(masks, p.w, p.t)
+            return _ts_extension_ok(masks, p.w, p.t, work)
         if property == "cff":
-            return _cff_extension_ok(masks, p.w, p.t)
-        return _ipps_family_ok(masks, p.w, p.t)
+            return _cff_extension_ok(masks, pb, p.w, p.t, work)
+        return _ipps_extension_ok(masks, pb, p.w, p.t, work)
 
     def rec(start: int) -> None:
         nonlocal nodes, best
@@ -233,12 +178,17 @@ def exhaustive_optimal(p: SchemeParams, property: str,
             nodes += 1
             if nodes > budget:
                 raise _SearchStop
+            index = len(masks)
             masks.append(cand_masks[ci])
             family.append(candidates[ci])
+            for q in candidates[ci]:
+                pb[q].append(index)
             if extension_ok():
                 if len(family) > len(best):
                     best = family.copy()
                 rec(ci + 1)
+            for q in candidates[ci]:
+                pb[q].pop()
             masks.pop()
             family.pop()
 
@@ -346,30 +296,6 @@ def ts_violation_from_cff_failure(s: SetSystem, t: int,
 # missing own-subsets -> parent ambiguity
 
 
-def _exact_cover(s: SetSystem, target_mask: int, limit: int,
-                 forbidden: int) -> tuple[int, ...] | None:
-    """First exact set cover of the target by <= limit blocks, skipping one index."""
-    if target_mask == 0:
-        return ()
-
-    def rec(chosen: tuple[int, ...], covered: int) -> tuple[int, ...] | None:
-        rest = target_mask & ~covered
-        if rest == 0:
-            return chosen
-        depth_left = limit - len(chosen)
-        if depth_left <= 0 or rest.bit_count() > depth_left * s.w:
-            return None
-        p_bit = rest & -rest
-        for i in range(s.m):
-            if i != forbidden and i not in chosen and s.masks[i] & p_bit:
-                got = rec(chosen + (i,), covered | s.masks[i])
-                if got is not None:
-                    return got
-        return None
-
-    return rec((), 0)
-
-
 def ipps_violation_from_missing_own_subsets(s: SetSystem,
                                             t: int) -> ProofTraceIpps | TraceBlocked:
     """Build a parent ambiguity when no block has a small own-subset.
@@ -391,6 +317,8 @@ def ipps_violation_from_missing_own_subsets(s: SetSystem,
         if enumerate_own_subsets(s, i, k).count:
             return TraceBlocked(step="precondition",
                                 detail=f"block {i} has a {k}-own-subset")
+    pb = _point_blocks(s)
+    work = _Work(sys.maxsize)  # at most t cover searches with at most t blocks each
 
     selected = [0]
     a_sets: list[tuple[int, ...]] = []
@@ -407,7 +335,7 @@ def ipps_violation_from_missing_own_subsets(s: SetSystem,
                                        f"need {size_a}")
         a_i = tuple(pool[:size_a])
         am = _mask(a_i)
-        cov = _exact_cover(s, am, hu, forbidden=bi)
+        cov = _find_cover(s.masks, pb, am, hu, w, work, bi)
         if cov is None:
             return TraceBlocked(step=f"C{i}-cover",
                                 detail=f"overlap chunk of block {bi} has no small cover")
@@ -453,7 +381,7 @@ def ipps_violation_from_missing_own_subsets(s: SetSystem,
     am = _mask(a_last)
     cov_last: tuple[int, ...] | None = ()
     if a_last:
-        cov_last = _exact_cover(s, am, hu, forbidden=b_last)
+        cov_last = _find_cover(s.masks, pb, am, hu, w, work, b_last)
         if cov_last is None:
             return TraceBlocked(step=f"C{hd + 1}-cover",
                                 detail="final chunk has no small cover")

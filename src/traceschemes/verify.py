@@ -25,7 +25,11 @@ from .core import (
     ParamsInvalid,
     SetSystem,
     TauOutOfRange,
+    _ceil_div,
+    _int_token,
     _mask,
+    _points,
+    _union,
     new_set_system,
 )
 
@@ -101,6 +105,12 @@ class _BudgetStop(Exception):
 
 
 class _Work:
+    """Work done so far and its cap.
+
+    Hot loops count in a local against ``budget - count`` and add the total
+    when they end: a :meth:`tick` call per step would cost more than the step.
+    """
+
     __slots__ = ("count", "budget")
 
     def __init__(self, budget: int) -> None:
@@ -119,10 +129,6 @@ def _point_blocks(s: SetSystem) -> list[list[int]]:
         for p in b:
             pb[p].append(i)
     return pb
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 # ---------------------------------------------------------------------------
@@ -187,29 +193,45 @@ def verify_packing(s: SetSystem, tau: int, budget: int = DEFAULT_BUDGET) -> Veri
 # cover-free families
 
 
-def _find_cover(s: SetSystem, pb: list[list[int]], target: int, limit: int,
-                work: _Work) -> tuple[int, ...] | None:
-    """First cover (fixed search order) of block ``target`` by <= limit others."""
-    tmask = s.masks[target]
-    masks = s.masks
+def _find_cover(masks, pb: list[list[int]], target_mask: int, limit: int, w: int,
+                work: _Work, skip: int = -1) -> tuple[int, ...] | None:
+    """First cover of ``target_mask`` by <= limit blocks other than ``skip``.
 
-    def rec(chosen: tuple[int, ...], covered: int) -> tuple[int, ...] | None:
-        work.tick()
-        rest = tmask & ~covered
-        if rest == 0:
-            return chosen
-        depth_left = limit - len(chosen)
-        if depth_left <= 0 or rest.bit_count() > depth_left * s.w:
-            return None
+    Blocks have width ``w`` and ``pb[p]`` lists the blocks through point p in
+    ascending order.  The search branches on the lowest uncovered point, so
+    the cover found depends only on the system, not on the caller.
+    """
+    nodes = 1  # one per selection tried, the empty one included
+    room = work.budget - work.count
+
+    def rec(chosen: tuple[int, ...], rest: int) -> tuple[int, ...] | None:
+        # A selection that covers, or that the blocks left cannot complete,
+        # is settled here in its parent's loop instead of by a call.
+        nonlocal nodes
+        reach = (limit - len(chosen) - 1) * w  # points the blocks after b can add
         p = (rest & -rest).bit_length() - 1
         for b in pb[p]:
-            if b != target and b not in chosen:
-                got = rec(chosen + (b,), covered | masks[b])
-                if got is not None:
-                    return got
+            if b != skip and b not in chosen:
+                nodes += 1
+                if nodes > room:
+                    raise _BudgetStop
+                left = rest & ~masks[b]
+                if left == 0:
+                    return chosen + (b,)
+                if left.bit_count() <= reach:
+                    got = rec(chosen + (b,), left)
+                    if got is not None:
+                        return got
         return None
 
-    return rec((), 0)
+    try:
+        if nodes > room:
+            raise _BudgetStop
+        if target_mask.bit_count() > limit * w:
+            return None
+        return rec((), target_mask) if target_mask else ()
+    finally:
+        work.count += nodes
 
 
 def verify_cff(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOutcome:
@@ -223,7 +245,7 @@ def verify_cff(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOutc
     limit = min(t, s.m - 1)
     try:
         for b0 in range(s.m):
-            cover = _find_cover(s, pb, b0, limit, work)
+            cover = _find_cover(s.masks, pb, s.masks[b0], limit, s.w, work, b0)
             if cover is not None:
                 wit = CffCover(target=b0, cover=tuple(sorted(cover)), strength=t)
                 return VerifyOutcome(VIOLATED, EXHAUSTIVE, witness=wit, work=work.count)
@@ -251,75 +273,40 @@ def _coalitions_lex(m: int, t: int):
         yield from rec((), 0)
 
 
-def _greedy_evasion(coal_masks: list[int], o_mask: int, upoints: list[int],
-                    w: int) -> tuple[int, ...] | None:
-    """Adversarial pirate-set builder; only ever returns a true evasion.
+def _ts_evasion(masks, coalition: tuple[int, ...], outsiders: list[int], w: int,
+               work: _Work) -> tuple[tuple[int, ...], int] | None:
+    """Lexicographically first (pirate set, outsider) evading ``coalition``.
 
-    Takes everything the outsider shares with the union, then fills up to
-    width ``w`` with points that keep the running maximum coalition overlap
-    as low as possible (ties to the smallest point).
+    Pirate sets are the w-subsets of the coalition's union, taken in
+    lexicographic order; for each, the ascending ``outsiders`` are tried in
+    turn.  Returns None iff no pirate set evades the coalition.
     """
-    chosen = [p for p in upoints if o_mask >> p & 1]
-    if len(chosen) > w:
+    union = _union(masks, coalition)
+    if union.bit_count() < w:
         return None
-    base = len(chosen)
-    t_mask = _mask(chosen)
-    counts = [(t_mask & cm).bit_count() for cm in coal_masks]
-    avail = [p for p in upoints if not (o_mask >> p & 1)]
-    while len(chosen) < w:
-        best_p = -1
-        best_max = None
-        for p in avail:
-            new_max = max(c + (1 if cm >> p & 1 else 0) for c, cm in zip(counts, coal_masks))
-            if best_max is None or new_max < best_max:
-                best_max, best_p = new_max, p
-        avail.remove(best_p)
-        chosen.append(best_p)
-        counts = [c + (1 if cm >> best_p & 1 else 0) for c, cm in zip(counts, coal_masks)]
-    if base >= max(counts):
-        return tuple(sorted(chosen))
-    return None
-
-
-def _ts_coalition_witness(s: SetSystem, coalition: tuple[int, ...],
-                          work: _Work) -> tuple[tuple[int, ...], int] | None:
-    """Lexicographically first (pirate set, outsider) evading this coalition.
-
-    Runs the cheap greedy adversary per eligible outsider first; whether or
-    not it hits, the exact lexicographic scan decides (and canonicalizes the
-    witness).  Returns None iff the coalition cannot be evaded.
-    """
-    masks = s.masks
-    union = s.union_mask(coalition)
-    upoints = [p for p in range(s.v) if union >> p & 1]
-    if len(upoints) < s.w:
-        return None
-    sc = len(coalition)
-    in_coal = set(coalition)
-    work.tick(s.m)  # eligibility scan below
-    # An outsider needs |T & B| >= max member overlap >= ceil(w / sc).
-    floor_thr = _ceil_div(s.w, sc)
-    eligible = [o for o in range(s.m)
-                if o not in in_coal and (masks[o] & union).bit_count() >= floor_thr]
+    work.tick(len(outsiders))  # eligibility scan below
+    # An outsider needs |T & B| >= max member overlap >= ceil(w / |coalition|).
+    floor_thr = _ceil_div(w, len(coalition))
+    eligible = [(o, masks[o]) for o in outsiders if (masks[o] & union).bit_count() >= floor_thr]
     if not eligible:
         return None
-    coal_masks = [masks[j] for j in coalition]
-    greedy_hit = False
-    for o in eligible:
-        work.tick(s.w)
-        if _greedy_evasion(coal_masks, masks[o] & union, upoints, s.w) is not None:
-            greedy_hit = True
-            break
-    # Exact scan; first hit in (pirate, outsider) order is the canonical witness.
-    elig_masks = [(o, masks[o]) for o in eligible]
-    for tpts in combinations(upoints, s.w):
-        t_mask = _mask(tpts)
-        work.tick(sc + len(eligible))
-        thr = max((t_mask & cm).bit_count() for cm in coal_masks)
-        for o, om in elig_masks:
-            if (t_mask & om).bit_count() >= thr:
-                return tpts, o
-    assert not greedy_hit, "greedy adversary produced an unconfirmed evasion"
+    coal_masks = [masks[i] for i in coalition]
+    step = len(coalition) + len(eligible)
+    spent = 0
+    room = work.budget - work.count
+    try:
+        for subset in combinations([1 << p for p in _points(union)], w):
+            spent += step
+            if spent > room:
+                raise _BudgetStop
+            t_mask = sum(subset)
+            # The largest member overlap, computed without a Python frame.
+            thr = max(map(int.bit_count, map(t_mask.__and__, coal_masks)))
+            for o, om in eligible:
+                if (t_mask & om).bit_count() >= thr:
+                    return tuple(_points(t_mask)), o
+    finally:
+        work.count += spent
     return None
 
 
@@ -371,7 +358,6 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
     if t < 1:
         raise ParamsInvalid(f"strength t={t} must be >= 1")
     if mode == CERTIFIED:
-        work = _Work(budget)
         if s.m <= 1:
             return VerifyOutcome(HOLDS, CERTIFIED, detail="at most one block", work=0)
         tau = _ceil_div(s.w, t * t)
@@ -395,7 +381,8 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
                              work=0)
     try:
         for coalition in _coalitions_lex(s.m, t):
-            found = _ts_coalition_witness(s, coalition, work)
+            outsiders = [o for o in range(s.m) if o not in coalition]
+            found = _ts_evasion(s.masks, coalition, outsiders, s.w, work)
             if found is not None:
                 tpts, o = found
                 wit = TsEvasion(coalition=coalition, pirate=tpts, outsider=o)
@@ -409,42 +396,51 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
 # parent-identifying set systems
 
 
-def _cover_common(s: SetSystem, pb: list[list[int]], t_mask: int, limit: int,
+def _cover_common(masks, pb: list[list[int]], t_mask: int, limit: int,
                   work: _Work) -> set[int] | None:
-    """Intersection of all covers of ``t_mask`` by <= limit blocks.
+    """Intersection of all covers of the nonempty ``t_mask`` by <= limit blocks.
 
     Returns None when no cover exists.  Every minimal cover is visited, so
     the running intersection equals the intersection over all covers; the
     search aborts as soon as the intersection is known to be empty.
     """
-    masks = s.masks
     common: set[int] | None = None
+    nodes = 1  # one per selection tried, the empty one included
+    room = work.budget - work.count
 
-    def rec(chosen: tuple[int, ...], covered: int) -> bool:
-        nonlocal common
-        work.tick()
-        rest = t_mask & ~covered
-        if rest == 0:
-            cs = set(chosen)
-            common = cs if common is None else common & cs
-            return not common
-        if len(chosen) >= limit:
-            return False
+    def rec(chosen: tuple[int, ...], rest: int) -> bool:
+        # As in _find_cover, a selection that covers or is full is settled
+        # in its parent's loop.
+        nonlocal common, nodes
+        deeper = len(chosen) + 1 < limit
         p = (rest & -rest).bit_length() - 1
         for b in pb[p]:
             if b not in chosen:
-                if rec(chosen + (b,), covered | masks[b]):
+                nodes += 1
+                if nodes > room:
+                    raise _BudgetStop
+                left = rest & ~masks[b]
+                if left == 0:
+                    cover = {b, *chosen}
+                    common = cover if common is None else common & cover
+                    if not common:
+                        return True
+                elif deeper and rec(chosen + (b,), left):
                     return True
         return False
 
-    rec((), 0)
+    try:
+        if nodes > room:
+            raise _BudgetStop
+        rec((), t_mask)
+    finally:
+        work.count += nodes
     return common
 
 
-def _minimal_covers(s: SetSystem, pb: list[list[int]], t_mask: int, limit: int,
+def _minimal_covers(masks, pb: list[list[int]], t_mask: int, limit: int,
                     work: _Work) -> list[tuple[int, ...]]:
     """All minimal covers of ``t_mask`` of size <= limit, sorted."""
-    masks = s.masks
     found: set[frozenset[int]] = set()
 
     def rec(chosen: tuple[int, ...], covered: int) -> None:
@@ -465,25 +461,24 @@ def _minimal_covers(s: SetSystem, pb: list[list[int]], t_mask: int, limit: int,
     return sorted(tuple(sorted(c)) for c in minimal)
 
 
-def _ipps_pirate_sets(s: SetSystem, t: int, sizes: tuple[int, ...],
-                      work: _Work) -> list[tuple[int, ...]]:
-    """Deduplicated pirate-set candidates: subsets of coalition unions.
+def _ipps_pirate_sets(masks, coalitions, sizes: tuple[int, ...], work: _Work):
+    """Each subset of a coalition union whose size is in ``sizes``, once.
 
-    Any set coverable by <= t blocks is a subset of some min(t, m)-coalition
-    union, so enumerating those unions is exhaustive.
+    Yields ascending point tuples.  Any set coverable by <= t blocks is a
+    subset of the union of some min(t, m)-coalition, so passing all of those
+    coalitions is exhaustive.
     """
-    se = min(t, s.m)
     seen: set[tuple[int, ...]] = set()
-    for coalition in combinations(range(s.m), se):
-        union = s.union_mask(coalition)
-        upoints = [p for p in range(s.v) if union >> p & 1]
+    for coalition in coalitions:
+        upoints = _points(_union(masks, coalition))
         for k in sizes:
             if k > len(upoints):
                 continue
             work.tick(comb(len(upoints), k))
             for tpts in combinations(upoints, k):
-                seen.add(tpts)
-    return sorted(seen)
+                if tpts not in seen:
+                    seen.add(tpts)
+                    yield tpts
 
 
 def _verify_ipps_over(s: SetSystem, t: int, sizes: tuple[int, ...],
@@ -494,12 +489,15 @@ def _verify_ipps_over(s: SetSystem, t: int, sizes: tuple[int, ...],
     if s.m == 0:
         return VerifyOutcome(HOLDS, EXHAUSTIVE, work=0)
     pb = _point_blocks(s)
+    masks = s.masks
     try:
-        for tpts in _ipps_pirate_sets(s, t, sizes, work):
+        coalitions = combinations(range(s.m), min(t, s.m))
+        # Lexicographic order of the pirate sets makes the witness canonical.
+        for tpts in sorted(_ipps_pirate_sets(masks, coalitions, sizes, work)):
             t_mask = _mask(tpts)
-            common = _cover_common(s, pb, t_mask, t, work)
+            common = _cover_common(masks, pb, t_mask, t, work)
             if common is not None and not common:
-                parents = _minimal_covers(s, pb, t_mask, t, work)
+                parents = _minimal_covers(masks, pb, t_mask, t, work)
                 wit = IppsAmbiguity(pirate=tpts, parents=tuple(parents), strength=t)
                 return VerifyOutcome(VIOLATED, EXHAUSTIVE, witness=wit, work=work.count)
         return VerifyOutcome(HOLDS, EXHAUSTIVE, work=work.count)
@@ -617,10 +615,12 @@ def parse_witness(text: str) -> Witness:
     fields: dict[str, list[list[int]]] = {}
     for ln in lines[1:]:
         parts = ln.split()
-        key, vals = parts[0], parts[1:]
-        if not all(v.lstrip("-").isdigit() for v in vals):
+        key, vals = parts[0], [_int_token(v) for v in parts[1:]]
+        if not vals:
+            raise FormatError(f"no values in line {ln!r}")
+        if None in vals:
             raise FormatError(f"non-integer value in line {ln!r}")
-        fields.setdefault(key, []).append([int(v) for v in vals])
+        fields.setdefault(key, []).append(vals)
 
     def one(key: str, width: int | None = None) -> list[int]:
         if key not in fields or len(fields[key]) != 1:

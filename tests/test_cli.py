@@ -186,17 +186,17 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_workers_flag_accepted(tmp_path, capsys):
-    out = tmp_path / "fano.ss"
-    main(["construct", "--family", "pg-lines", "--n", "2", "--q", "2", "-o", str(out)])
-    capsys.readouterr()
-    assert main(["verify", "--property", "ts", "--t", "2", "--workers", "4", str(out)]) == 1
-    one = capsys.readouterr().out
-    assert main(["verify", "--property", "ts", "--t", "2", "--workers", "1", str(out)]) == 1
-    two = capsys.readouterr().out
-    assert one == two  # byte-identical across worker counts
-    assert main(["verify", "--property", "ts", "--t", "2", "--workers", "0", str(out)]) == 2
-    capsys.readouterr()
+def test_non_ascii_integer_tokens_are_format_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.ss"
+    bad.write_text("setsystem v=\u00b2 w=1 m=0\n", encoding="utf-8")
+    assert main(["stats", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: bad header field")
+    system = _write_triples(tmp_path, 4)
+    wit = tmp_path / "wit.txt"
+    wit.write_text("witness cff-cover\nstrength 2\ntarget \u00b2\ncover 1 2\n",
+                   encoding="utf-8")
+    assert main(["check-witness", str(system), str(wit)]) == 2
+    assert capsys.readouterr().err.startswith("error: non-integer value")
 
 
 def test_missing_required_flag_is_usage_error(tmp_path, capsys):

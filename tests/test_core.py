@@ -14,7 +14,6 @@ from traceschemes import (
     SchemeParams,
     TauOutOfRange,
     enumerate_own_subsets,
-    intersection_size,
     new_set_system,
     parse_set_system,
     pg_lines,
@@ -71,12 +70,6 @@ def test_scheme_params_validation():
         SchemeParams(1, 2, 3)
     with pytest.raises(ParamsInvalid):
         SchemeParams(3, 2, 5)
-
-
-def test_intersection_size():
-    assert intersection_size((0, 1, 2), (0, 1, 2)) == 3
-    assert intersection_size((0, 1, 2), (3, 4, 5)) == 0
-    assert intersection_size((0, 1, 2, 3), (2, 3, 4, 5)) == 2
 
 
 def _brute_own_subsets(s, block_index, tau):
@@ -162,6 +155,10 @@ def test_parse_accepts_comments_and_blank_lines():
     "setsystem v=4 w=2 m=2\n0 1\n2 3\njunk here\n",  # trailing garbage
     "setsystem v=4 w=2\n0 1\n",                     # malformed header
     "setsystem v=4 w=2 m=two\n0 1\n",               # non-numeric header
+    "setsystem v=\u00b2 w=1 m=0\n",                  # non-ASCII digit in header
+    "setsystem v=--5 w=1 m=0\n",                     # doubled sign in header
+    "setsystem v=4 w=1 m=1\n\u00b9\n",               # non-ASCII digit in block
+    "setsystem v=4 w=2 m=1\n-0 1\n",                # signed point
 ])
 def test_parse_rejections(text):
     with pytest.raises(SchemeError):

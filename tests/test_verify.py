@@ -4,15 +4,19 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from traceschemes import (
     CffCover,
     IppsAmbiguity,
     ParamsInvalid,
+    SchemeParams,
     TauOutOfRange,
     TsEvasion,
     ag_lines,
     check_witness,
+    exhaustive_optimal,
     greedy_packing_ts,
     new_set_system,
     parse_witness,
@@ -350,6 +354,12 @@ def test_witness_render_parse_round_trip():
     "witness cff-cover\nstrength 2\ntarget x\ncover 1 2\n",    # non-integer
     "witness ipps-ambiguity\nstrength 2\npirate 0 1\n",        # no parents
     "witness unknown-kind\nfoo 1\n",
+    "witness cff-cover\nstrength 2\ntarget \u00b2\ncover 1 2\n",  # non-ASCII digit
+    "witness cff-cover\nstrength 2\ntarget --1\ncover 1 2\n",    # doubled sign
+    "witness ts-evasion\ncoalition\npirate 0 2 3\noutsider 4\n",  # empty coalition
+    "witness ts-evasion\ncoalition 0 1\npirate\noutsider 4\n",    # empty pirate set
+    "witness cff-cover\nstrength 2\ntarget 0\ncover\n",           # empty cover
+    "witness ipps-ambiguity\nstrength 2\npirate 0 1\nparent 0\nparent\n",  # empty parent
 ])
 def test_witness_parse_rejections(text):
     with pytest.raises(FormatError):
@@ -370,3 +380,96 @@ def test_tampered_witnesses_fail_revalidation():
     assert not check_witness(s, CffCover(target=0, cover=(1, 4), strength=1))[0]
     amb = IppsAmbiguity(pirate=(0, 1, 2), parents=((0,), (0, 1)), strength=2)
     assert not check_witness(s, amb)[0]  # parents share block 0
+
+
+# --- kernel agreement on random small systems --------------------------------
+
+
+def brute_first_ipps_pirate(s, t):
+    """Lexicographically first w-subset with a cover but no common parent."""
+    for tpts in combinations(range(s.v), s.w):
+        tset = set(tpts)
+        covers = [set(coal) for sc in range(1, t + 1) for coal in combinations(range(s.m), sc)
+                  if tset <= set().union(*(s.blocks[j] for j in coal))]
+        if covers and not set.intersection(*covers):
+            return tpts
+    return None
+
+
+def brute_first_cff_target(s, t):
+    """Smallest block contained in the union of at most t others."""
+    for b0 in range(s.m):
+        others = [i for i in range(s.m) if i != b0]
+        for sc in range(1, min(t, len(others)) + 1):
+            for combo in combinations(others, sc):
+                if set(s.blocks[b0]) <= set().union(*(s.blocks[j] for j in combo)):
+                    return b0
+    return None
+
+
+@st.composite
+def small_systems(draw, max_v=7):
+    v = draw(st.integers(3, max_v))
+    w = draw(st.integers(2, min(3, v)))
+    pool = list(combinations(range(v), w))
+    blocks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=min(8, len(pool)),
+                           unique=True))
+    return new_set_system(v, blocks)
+
+
+@given(small_systems(), st.integers(2, 3))
+def test_ts_kernel_matches_definition(s, t):
+    out = verify_ts(s, t)
+    assert out.holds == brute_ts(s, t)
+    if out.violated:
+        wit = out.witness
+        assert (wit.coalition, wit.pirate, wit.outsider) == brute_first_ts_witness(s, t)
+
+
+@given(small_systems(), st.integers(1, 3))
+def test_ipps_kernel_matches_definition(s, t):
+    out = verify_ipps(s, t)
+    first = brute_first_ipps_pirate(s, t)
+    assert out.holds == (first is None)
+    if out.violated:
+        assert out.witness.pirate == first
+        assert check_witness(s, out.witness)[0]
+
+
+@given(small_systems(), st.integers(1, 3))
+def test_cff_kernel_matches_definition(s, t):
+    out = verify_cff(s, t)
+    first = brute_first_cff_target(s, t)
+    assert out.holds == (first is None)
+    if out.violated:
+        assert out.witness.target == first
+        assert check_witness(s, out.witness)[0]
+
+
+def brute_optimum(p, holds):
+    """Largest family of w-subsets with the property, over all subfamilies.
+
+    The properties survive deleting blocks, so every valid family of k + 1
+    blocks is a valid family of k blocks plus one block of larger index;
+    growing the valid families level by level therefore misses none.
+    """
+    pool = list(combinations(range(p.v), p.w))
+    best, level = 0, [()]
+    while level:
+        best = len(level[0])
+        level = [fam + (i,) for fam in level for i in range(fam[-1] + 1 if fam else 0, len(pool))
+                 if holds(new_set_system(p.v, [pool[j] for j in fam + (i,)]), p.t)]
+    return best
+
+
+BRUTE = {"ts": brute_ts, "ipps": brute_ipps, "cff": brute_cff}
+
+
+@pytest.mark.parametrize("prop", sorted(BRUTE))
+@pytest.mark.parametrize("t,w,v", [(t, w, v) for w in (2, 3) for t in range(2, w + 1)
+                                   for v in range(w, 7)])
+def test_search_optimum_matches_brute_force(prop, t, w, v):
+    p = SchemeParams(t, w, v)
+    result = exhaustive_optimal(p, prop)
+    assert result.complete
+    assert result.optimum == brute_optimum(p, BRUTE[prop])
