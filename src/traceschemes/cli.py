@@ -203,9 +203,12 @@ def _cmd_stats(args) -> int:
     system = _load_system(args.file)
     print(f"stats v={system.v} w={system.w} m={system.m}")
     if system.m >= 2:
-        inters = [(system.masks[i] & system.masks[j]).bit_count()
-                  for i in range(system.m) for j in range(i + 1, system.m)]
-        print(f"pair-intersections min={min(inters)} max={max(inters)}")
+        # A running min and max: a list of all m(m-1)/2 pairs would be the
+        # largest thing the command holds.
+        lo, hi = system.w, 0
+        for row in verify_mod._overlap_rows(system.masks):
+            lo, hi = min(lo, *row), max(hi, *row)
+        print(f"pair-intersections min={lo} max={hi}")
     degrees = [0] * system.v
     for b in system.blocks:
         for p in b:

@@ -38,7 +38,7 @@ from .verify import (
     _find_cover,
     _ipps_pirate_sets,
     _point_blocks,
-    _ts_evasion,
+    _ts_evader,
     _Work,
     check_witness,
 )
@@ -103,10 +103,10 @@ def _ts_extension_ok(masks: list[int], w: int, t: int, work: _Work) -> bool:
     for s in range(2, min(t, len(masks)) + 1):
         for rest in combinations(range(new), s - 1):
             outs = [i for i in range(new) if i not in rest]
-            if _ts_evasion(masks, rest + (new,), outs, w, work) is not None:
+            if _ts_evader(masks, rest + (new,), outs, w, work) is not None:
                 return False
         for coal in combinations(range(new), s):
-            if _ts_evasion(masks, coal, [new], w, work) is not None:
+            if _ts_evader(masks, coal, [new], w, work) is not None:
                 return False
     return True
 

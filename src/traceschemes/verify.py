@@ -3,8 +3,10 @@
 Five properties are decided: tau-design, tau-packing, strength-t cover-free
 family (CFF), strength-t parent-identifying set system (IPPS, plus its
 variant over pirate sets larger than one block width), and strength-t
-traceability scheme (TS).  Exhaustive mode enumerates the full quantifier
-space and is decisive; certified mode for TS proves the property from a
+traceability scheme (TS).  Exhaustive mode covers the full quantifier
+space and is decisive; for TS it decides whether some pirate set evades a
+coalition by counting overlaps, and lists pirate sets only to write the
+witness.  Certified mode for TS proves the property from a
 pairwise-intersection packing condition or from a design-extension
 certificate, and says "inconclusive" otherwise.
 
@@ -279,7 +281,8 @@ def _ts_evasion(masks, coalition: tuple[int, ...], outsiders: list[int], w: int,
 
     Pirate sets are the w-subsets of the coalition's union, taken in
     lexicographic order; for each, the ascending ``outsiders`` are tried in
-    turn.  Returns None iff no pirate set evades the coalition.
+    turn.  Returns None iff no pirate set evades the coalition.  It writes
+    the witness; :func:`_ts_evader` decides without listing pirate sets.
     """
     union = _union(masks, coalition)
     if union.bit_count() < w:
@@ -308,6 +311,131 @@ def _ts_evasion(masks, coalition: tuple[int, ...], outsiders: list[int], w: int,
     finally:
         work.count += spent
     return None
+
+
+def _ts_packs(cells, caps: list[int], keep: int, need: int, work: _Work) -> bool:
+    """Whether ``need`` points of ``keep`` can be picked from the ``cells``.
+
+    ``cells`` are (members, points) Venn cells of points in two or more
+    members; each point picked uses one unit of ``caps[i]`` for every member
+    i through it.  Counts per cell are searched depth first, larger first,
+    one work unit per node.
+    """
+    multi = []
+    for members, cell in cells:
+        size = (cell & keep).bit_count()
+        if size and min(caps[i] for i in members):
+            multi.append((members, size))
+    left = [0] * (len(multi) + 1)  # points in the cells from j on
+    for j in range(len(multi) - 1, -1, -1):
+        left[j] = left[j + 1] + multi[j][1]
+    nodes = 0
+    room = work.budget - work.count
+
+    def fits(j: int, need: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > room:
+            raise _BudgetStop
+        # Every point picked uses at least two units of cap.
+        if left[j] < need or 2 * need > sum(caps):
+            return False
+        members, size = multi[j]
+        top = min(size, need, *(caps[i] for i in members))
+        if top == need:
+            return True
+        for y in range(top, max(0, need - left[j + 1]) - 1, -1):
+            for i in members:
+                caps[i] -= y
+            ok = fits(j + 1, need - y)
+            for i in members:
+                caps[i] += y
+            if ok:
+                return True
+        return False
+
+    try:
+        return fits(0, need)
+    finally:
+        work.count += nodes
+
+
+def _ts_evader(masks, coalition: tuple[int, ...], outsiders: list[int], w: int,
+               work: _Work) -> int | None:
+    """First of ``outsiders`` that some pirate set lets evade ``coalition``.
+
+    Decided by counting overlaps, without listing pirate sets.  Let U be the
+    coalition's union, O an outsider and a = |O & U|.  Swapping a pirate
+    point outside O for an unused point of O & U never lowers O's margin
+    over a member, so some best pirate set takes min(a, w) points of O & U:
+    if a >= w, O evades outright.  Otherwise O evades iff w - a points of
+    U - O can be picked with at most cap_i = a - |O & B_i| of them in each
+    member B_i.  By the same swap, a point of U - O in B_i alone is never
+    worse than one in B_i and other members, so B_i's own points are taken
+    first, up to cap_i; the points in several members are then packed by
+    :func:`_ts_packs`.  Returns None iff no pirate set evades the coalition.
+    One work unit per outsider examined, plus the packing nodes.
+    """
+    union = _union(masks, coalition)
+    if union.bit_count() < w:
+        return None
+    work.tick(len(outsiders))
+    coal_masks = [masks[i] for i in coalition]
+    shared = seen = 0  # shared: the points in two or more members
+    for b in coal_masks:
+        shared |= seen & b
+        seen |= b
+    lone = union & ~shared
+    # O can evade only if a + sum(caps) >= w, and a + sum(caps) <= |C| a, as
+    # every point of O & U is in some member.
+    least = _ceil_div(w, len(coal_masks))
+    cells = None
+    for o in outsiders:
+        om = masks[o]
+        a = (om & union).bit_count()
+        if a < least:
+            continue
+        if a >= w:
+            return o
+        need = w - a
+        caps = [a - (om & b).bit_count() for b in coal_masks]
+        if sum(caps) < need:
+            continue
+        for i, b in enumerate(coal_masks):
+            own = min(caps[i], (b & lone & ~om).bit_count())
+            need -= own
+            caps[i] -= own
+        if need <= 0:
+            return o
+        if cells is None:
+            cells = [((), shared)]
+            for i, b in enumerate(coal_masks):
+                cells = [(c, p & ~b) for c, p in cells] + [(c + (i,), p & b) for c, p in cells]
+            cells = [(c, p) for c, p in cells if p]
+        if _ts_packs(cells, caps, ~om, need, work):
+            return o
+    return None
+
+
+def _overlap_rows(masks: list[int]):
+    """For each block i but the last, the list of |B_i & B_j| over j > i."""
+    for i, b in enumerate(masks[:-1]):
+        yield list(map(int.bit_count, map(b.__and__, masks[i + 1:])))
+
+
+def _overlap_row_max(masks: list[int], work: _Work):
+    """Yield the largest |B_i & B_j| over j != i for i = 0, 1, ... in turn.
+
+    Rows are intersected only as far as the caller reads, so a walk that
+    stops at an early block pays for a prefix; one work unit per pair.
+    """
+    best = [0] * len(masks)
+    for i, row in enumerate(_overlap_rows(masks)):
+        work.tick(len(row))
+        best[i + 1:] = [x if x > r else r for x, r in zip(row, best[i + 1:])]
+        yield max(best[i], *row)
+    if masks:
+        yield best[-1]
 
 
 def _extension_certificate_holds(s: SetSystem, t: int, cert) -> tuple[bool, str]:
@@ -349,9 +477,13 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
               budget: int = DEFAULT_BUDGET, certificate=None) -> VerifyOutcome:
     """Decide the strength-t traceability property.
 
-    Exhaustive mode checks every coalition of 2..t blocks, every w-subset
-    of its union and every outside block (size-1 coalitions cannot be
-    evaded because blocks are distinct).  Certified mode accepts a pairwise
+    Exhaustive mode checks every coalition of 2..t blocks against every
+    outside block (size-1 coalitions cannot be evaded because blocks are
+    distinct).  A coalition no outsider can overlap enough is skipped; for
+    the others, whether some pirate set lets an outsider evade is decided
+    by counting overlaps (:func:`_ts_evader`), and the w-subsets of the
+    union are listed only for the first evaded coalition, to report the
+    lexicographically first witness.  Certified mode accepts a pairwise
     intersection bound (every two blocks share < ceil(w/t^2) points) or a
     design-extension certificate, and is otherwise inconclusive.
     """
@@ -379,12 +511,23 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
     if t == 1 or s.m <= 1:
         return VerifyOutcome(HOLDS, EXHAUSTIVE, detail="size-1 coalitions cannot be evaded",
                              work=0)
+    masks, w = s.masks, s.w
+    # An outsider O needs |O & U| >= ceil(w / |C|), and |O & U| is at most
+    # the sum of the members' largest overlaps with any other block.
+    least = [0] + [_ceil_div(w, k) for k in range(1, min(t, s.m) + 1)]
     try:
+        maxima = _overlap_row_max(masks, work)
+        rowmax: list[int] = []
         for coalition in _coalitions_lex(s.m, t):
+            work.tick()
+            while len(rowmax) <= coalition[-1]:
+                rowmax.append(next(maxima))
+            if sum(map(rowmax.__getitem__, coalition)) < least[len(coalition)]:
+                continue
             outsiders = [o for o in range(s.m) if o not in coalition]
-            found = _ts_evasion(s.masks, coalition, outsiders, s.w, work)
-            if found is not None:
-                tpts, o = found
+            if _ts_evader(masks, coalition, outsiders, w, work) is not None:
+                # The scan only runs here, for the canonical witness.
+                tpts, o = _ts_evasion(masks, coalition, outsiders, w, work)
                 wit = TsEvasion(coalition=coalition, pirate=tpts, outsider=o)
                 return VerifyOutcome(VIOLATED, EXHAUSTIVE, witness=wit, work=work.count)
         return VerifyOutcome(HOLDS, EXHAUSTIVE, work=work.count)

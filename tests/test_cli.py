@@ -158,6 +158,17 @@ def test_stats_command(tmp_path, capsys):
     assert "pair-intersections min=1 max=1" in captured.out
 
 
+def test_stats_pair_intersections_over_all_pairs(tmp_path, capsys):
+    blocks = [(0, 1, 2, 3), (0, 1, 2, 4), (0, 5, 6, 7), (4, 5, 6, 7), (8, 9, 10, 11)]
+    path = tmp_path / "mixed.ss"
+    path.write_text(render_set_system(new_set_system(12, blocks)), encoding="utf-8")
+    assert main(["stats", str(path)]) == 0
+    inters = [len(set(a) & set(b)) for a, b in combinations(blocks, 2)]
+    line = f"pair-intersections min={min(inters)} max={max(inters)}"
+    assert line == "pair-intersections min=0 max=3"
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_extend_via_cli(tmp_path, capsys):
     base = tmp_path / "ag25.ss"
     ext = tmp_path / "ext.ss"

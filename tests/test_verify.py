@@ -1,10 +1,10 @@
 """Verifiers against literal brute-force oracles and known instances."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from traceschemes import (
@@ -17,7 +17,9 @@ from traceschemes import (
     ag_lines,
     check_witness,
     exhaustive_optimal,
+    extend_design,
     greedy_packing_ts,
+    hermitian_unital,
     new_set_system,
     parse_witness,
     pg_lines,
@@ -31,6 +33,7 @@ from traceschemes import (
     verify_ts,
 )
 from traceschemes.core import FormatError
+from traceschemes.verify import _overlap_row_max, _ts_evader, _ts_evasion, _ts_packs, _Work
 
 
 # --- literal re-statements of the definitions, used as oracles ------------
@@ -263,6 +266,17 @@ def test_certified_holds_implies_exhaustive_holds():
         cert = verify_ts(s, 2, mode="certified")
         if cert.holds:
             assert verify_ts(s, 2).holds
+    # Larger instances that certify, by packing or by a design-extension
+    # certificate; at t = 3, the plane PG(2, 9) extended by d = 0 points and
+    # a partition into single points extended by d = 8.
+    singles = new_set_system(12, [[p] for p in range(12)])
+    certified = [((hermitian_unital(4), None), 2),
+                 (extend_design(pg_lines(2, 4), 1, 2), 2),
+                 (extend_design(pg_lines(2, 9), 0, 3), 3),
+                 (extend_design(singles, 8, 3), 3)]
+    for (s, cert), t in certified:
+        assert verify_ts(s, t, mode="certified", certificate=cert).holds
+        assert verify_ts(s, t).holds
 
 
 # --- parent identification --------------------------------------------------
@@ -317,6 +331,15 @@ def test_ipps_star_matches_ipps_on_examples():
 
 
 # --- budgets and determinism -------------------------------------------------
+
+
+def test_early_ts_witness_needs_only_a_prefix_of_pair_intersections():
+    # Blocks 0 and 1 are evaded by block 2; 40 far blocks follow.  Finding
+    # the witness must not wait for all 903 block pairs to be intersected.
+    far = [(10 + 3 * i, 11 + 3 * i, 12 + 3 * i) for i in range(40)]
+    s = new_set_system(130, [(0, 1, 2), (0, 1, 3), (0, 2, 3)] + far)
+    out = verify_ts(s, 2, budget=300)
+    assert out.violated and out.witness.coalition == (0, 1) and out.witness.outsider == 2
 
 
 def test_budget_exhaustion_is_inconclusive():
@@ -424,6 +447,117 @@ def test_ts_kernel_matches_definition(s, t):
     if out.violated:
         wit = out.witness
         assert (wit.coalition, wit.pirate, wit.outsider) == brute_first_ts_witness(s, t)
+
+
+@st.composite
+def wide_systems(draw, max_v=8, max_w=5):
+    """Blocks of up to five points on at most eight: coalitions of two to four
+    blocks share points in every pattern, so every step of the TS kernel runs."""
+    v = draw(st.integers(4, max_v))
+    w = draw(st.integers(2, min(max_w, v - 1)))
+    pool = list(combinations(range(v), w))
+    blocks = draw(st.lists(st.sampled_from(pool), min_size=3, max_size=min(10, len(pool)),
+                           unique=True))
+    return new_set_system(v, blocks)
+
+
+@st.composite
+def coalition_cases(draw):
+    """A wide system, a coalition of 2-4 of its blocks and some outsiders in any order."""
+    s = draw(wide_systems())
+    size = draw(st.integers(2, min(4, s.m - 1)))
+    coalition = tuple(sorted(draw(st.lists(st.integers(0, s.m - 1), min_size=size,
+                                           max_size=size, unique=True))))
+    rest = draw(st.permutations([o for o in range(s.m) if o not in coalition]))
+    return s, coalition, list(rest[:draw(st.integers(1, len(rest)))])
+
+
+@given(coalition_cases())
+# Outsider 2 evades only if the cells shared by two members are not filled
+# greedily, and outsider 0 only if a member's own points may exceed its cap.
+@example((new_set_system(10, [(0, 3, 4, 7), (0, 6, 8, 9), (1, 2, 4, 9), (1, 3, 6, 7),
+                              (3, 6, 7, 8)]), (0, 1, 4), [2, 3]))
+@example((new_set_system(5, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 4)]), (1, 2, 3, 4), [0]))
+# No pirate set lets block 0 evade (1, 2, 3): the packing must not pick a
+# negative number of points from one cell to make room in the others.
+@example((new_set_system(19, [(0, 1, 2, 3, 4, 15, 16, 17, 18), (0, 1, 2, 3, 5, 6, 7, 8, 9),
+                              (0, 1, 2, 4, 5, 10, 11, 12, 13),
+                              (6, 7, 8, 9, 10, 11, 12, 13, 14)]), (1, 2, 3), [0]))
+def test_ts_evader_matches_pirate_set_scan(case):
+    s, coalition, outsiders = case
+    work = _Work(10**9)
+    first = next((o for o in outsiders
+                  if _ts_evasion(s.masks, coalition, [o], s.w, work) is not None), None)
+    assert _ts_evader(s.masks, coalition, outsiders, s.w, work) == first
+
+
+@st.composite
+def packing_cases(draw):
+    """Up to six Venn cells of two to four members, with small sizes, caps and
+    demand, so that every choice of counts per cell can be listed."""
+    k = draw(st.integers(2, 4))
+    shapes = [c for r in range(2, k + 1) for c in combinations(range(k), r)]
+    shapes = draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=6, unique=True))
+    sizes = draw(st.lists(st.integers(0, 4), min_size=len(shapes), max_size=len(shapes)))
+    caps = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k))
+    return list(zip(shapes, sizes)), caps, draw(st.integers(1, 8))
+
+
+@given(packing_cases())
+# Cell (0, 1) can give one point; trying -1 there would free cap for the rest.
+@example(([((0, 1), 1), ((0, 2), 4), ((1, 2), 4)], [1, 1, 4], 3))
+def test_ts_packs_matches_brute_force(case):
+    shaped, caps, need = case
+    cells, first = [], 0
+    for members, size in shaped:
+        cells.append((members, ((1 << size) - 1) << first))
+        first += size
+    brute = any(sum(ys) >= need
+                and all(sum(y for (mem, _), y in zip(shaped, ys) if i in mem) <= cap
+                        for i, cap in enumerate(caps))
+                for ys in product(*(range(size + 1) for _, size in shaped)))
+    left = list(caps)
+    assert _ts_packs(cells, left, -1, need, _Work(10**9)) == brute
+    assert left == caps
+
+
+@st.composite
+def sparse_systems(draw):
+    """Few narrow blocks on up to 14 points, so some pairs of blocks barely meet."""
+    v = draw(st.integers(8, 14))
+    w = draw(st.integers(2, 4))
+    block = st.lists(st.integers(0, v - 1), min_size=w, max_size=w, unique=True)
+    blocks = draw(st.lists(block.map(sorted).map(tuple), min_size=3, max_size=6, unique=True))
+    return new_set_system(v, blocks)
+
+
+def _assert_row_max_skips_are_sound(s, t):
+    """Check the rowmax skip on every coalition of 2..t blocks; count the skips."""
+    rowmax = list(_overlap_row_max(s.masks, _Work(10**9)))
+    blocks = [set(b) for b in s.blocks]
+    assert rowmax == [max(len(b & c) for j, c in enumerate(blocks) if j != i)
+                      for i, b in enumerate(blocks)]
+    skipped = 0
+    for k in range(2, min(t, s.m - 1) + 1):
+        for coal in combinations(range(s.m), k):
+            union = set().union(*(blocks[i] for i in coal))
+            outsiders = [o for o in range(s.m) if o not in coal]
+            bound = sum(rowmax[i] for i in coal)
+            assert all(len(blocks[o] & union) <= bound for o in outsiders)
+            if bound < -(-s.w // k):
+                skipped += 1
+                assert _ts_evasion(s.masks, coal, outsiders, s.w, _Work(10**9)) is None
+    return skipped
+
+
+@given(st.one_of(wide_systems(), sparse_systems()), st.integers(2, 4))
+def test_row_max_skip_admits_no_evasion(s, t):
+    _assert_row_max_skips_are_sound(s, t)
+
+
+def test_row_max_skips_every_pair_of_lines():
+    # Lines of PG(2, 4) meet in one point: two members reach at most 2 < 3.
+    assert _assert_row_max_skips_are_sound(pg_lines(2, 4), 2) == 210
 
 
 @given(small_systems(), st.integers(1, 3))
