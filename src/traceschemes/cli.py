@@ -19,6 +19,7 @@ from . import construct as construct_mod
 from . import oracle as oracle_mod
 from . import verify as verify_mod
 from .core import (
+    ParamsInvalid,
     SchemeError,
     SchemeParams,
     _ceil_div,
@@ -296,6 +297,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if getattr(args, "budget", 0) < 0:
+            raise ParamsInvalid(f"--budget must be >= 0, got {args.budget}")
         return args.func(args)
     except (SchemeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

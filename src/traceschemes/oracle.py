@@ -34,9 +34,8 @@ from .verify import (
     CffCover,
     IppsAmbiguity,
     TsEvasion,
-    _cover_common,
     _find_cover,
-    _ipps_pirate_sets,
+    _ipps_ambiguity,
     _point_blocks,
     _ts_evader,
     _Work,
@@ -128,18 +127,10 @@ def _cff_extension_ok(masks: list[int], pb: list[list[int]], w: int, t: int,
     return True
 
 
-def _ipps_extension_ok(masks: list[int], pb: list[list[int]], w: int, t: int,
-                       work: _Work) -> bool:
-    # The family without the new block is an IPPS, so a pirate set can lose
-    # its common parent only through a cover that contains the new block:
-    # only subsets of unions of coalitions with the new block need checking.
-    new = len(masks) - 1
-    coalitions = (rest + (new,) for rest in combinations(range(new), min(t, new + 1) - 1))
-    for tpts in _ipps_pirate_sets(masks, coalitions, (w,), work):
-        common = _cover_common(masks, pb, _mask(tpts), t, work)
-        if common is not None and not common:
-            return False
-    return True
+def _ipps_extension_ok(masks: list[int], w: int, t: int, work: _Work) -> bool:
+    # The family without the new block is an IPPS, so a w-set can become
+    # ambiguous only through a cover that contains the new block.
+    return _ipps_ambiguity(masks, w, t, work, len(masks) - 1) is None
 
 
 def exhaustive_optimal(p: SchemeParams, property: str,
@@ -170,7 +161,7 @@ def exhaustive_optimal(p: SchemeParams, property: str,
             return _ts_extension_ok(masks, p.w, p.t, work)
         if property == "cff":
             return _cff_extension_ok(masks, pb, p.w, p.t, work)
-        return _ipps_extension_ok(masks, pb, p.w, p.t, work)
+        return _ipps_extension_ok(masks, p.w, p.t, work)
 
     def rec(start: int) -> None:
         nonlocal nodes, best

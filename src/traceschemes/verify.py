@@ -6,7 +6,8 @@ variant over pirate sets larger than one block width), and strength-t
 traceability scheme (TS).  Exhaustive mode covers the full quantifier
 space and is decisive; for TS it decides whether some pirate set evades a
 coalition by counting overlaps, and lists pirate sets only to write the
-witness.  Certified mode for TS proves the property from a
+witness; for IPPS it extends ambiguous point sets depth first, a point at
+a time.  Certified mode for TS proves the property from a
 pairwise-intersection packing condition or from a design-extension
 certificate, and says "inconclusive" otherwise.
 
@@ -19,8 +20,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, compress, repeat
 from math import comb
+from operator import and_, or_
 
 from .core import (
     FormatError,
@@ -497,14 +500,14 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
         if pk.holds:
             detail = f"pairwise intersections below {tau} certify strength {t}"
             return VerifyOutcome(HOLDS, CERTIFIED, detail=detail, work=pk.work)
+        detail = "no packing certificate; run exhaustive mode"
         if certificate is not None:
-            ok, why = _extension_certificate_holds(s, t, certificate)
+            ok, detail = _extension_certificate_holds(s, t, certificate)
             if ok:
-                return VerifyOutcome(HOLDS, CERTIFIED, detail=why, work=pk.work)
-            return VerifyOutcome(INCONCLUSIVE, CERTIFIED, detail=why, work=pk.work)
-        return VerifyOutcome(INCONCLUSIVE, CERTIFIED,
-                             detail="no packing certificate; run exhaustive mode",
-                             work=pk.work)
+                return VerifyOutcome(HOLDS, CERTIFIED, detail=detail, work=pk.work)
+        if pk.inconclusive:
+            detail = BUDGET_EXCEEDED  # the packing condition was not decided
+        return VerifyOutcome(INCONCLUSIVE, CERTIFIED, detail=detail, work=pk.work)
     if mode != EXHAUSTIVE:
         raise ParamsInvalid(f"unknown mode {mode!r}")
     work = _Work(budget)
@@ -539,124 +542,104 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
 # parent-identifying set systems
 
 
-def _cover_common(masks, pb: list[list[int]], t_mask: int, limit: int,
-                  work: _Work) -> set[int] | None:
-    """Intersection of all covers of the nonempty ``t_mask`` by <= limit blocks.
+def _ipps_ambiguity(masks, w: int, t: int, work: _Work, required: int = -1):
+    """Lexicographically first ambiguous w-set and the block bits of its covers.
 
-    Returns None when no cover exists.  Every minimal cover is visited, so
-    the running intersection equals the intersection over all covers; the
-    search aborts as soon as the intersection is known to be empty.
+    A point set is ambiguous when some selection of at most t blocks covers
+    it and the selections that cover it share no block.  A cover of a set
+    covers each of its subsets, so the subsets of an ambiguous set are
+    ambiguous: a depth-first walk over points in ascending order that
+    extends only ambiguous prefixes meets every ambiguous w-set, the
+    lexicographically first one first.  Each selection of 1..min(t, m)
+    blocks is listed once as (union, block bits), and a prefix carries the
+    selections that cover it.  With ``required`` >= 0 a set counts only if
+    some cover holds block ``required``, which again passes to subsets.
+    Returns None when there is no such set.  One work unit per
+    selection listed and per selection examined, so the budget also bounds
+    memory.
     """
-    common: set[int] | None = None
-    nodes = 1  # one per selection tried, the empty one included
+    m = len(masks)
+    if m < 2:
+        return None  # one block is a common parent of all it covers
+    work.tick(sum(comb(m, k) for k in range(1, min(t, m) + 1)))
+    level = [(masks[i], 1 << i, i) for i in range(m)]
+    unions, bits = list(masks), [b for _, b, _ in level]
+    for _ in range(min(t, m) - 1):
+        level = [(u | masks[j], b | 1 << j, j) for u, b, i in level for j in range(i + 1, m)]
+        unions += [u for u, _, _ in level]
+        bits += [b for _, b, _ in level]
+    prefix: list[int] = []
+    nodes = 0
     room = work.budget - work.count
 
-    def rec(chosen: tuple[int, ...], rest: int) -> bool:
-        # As in _find_cover, a selection that covers or is full is settled
-        # in its parent's loop.
-        nonlocal common, nodes
-        deeper = len(chosen) + 1 < limit
-        p = (rest & -rest).bit_length() - 1
-        for b in pb[p]:
-            if b not in chosen:
-                nodes += 1
-                if nodes > room:
-                    raise _BudgetStop
-                left = rest & ~masks[b]
-                if left == 0:
-                    cover = {b, *chosen}
-                    common = cover if common is None else common & cover
-                    if not common:
-                        return True
-                elif deeper and rec(chosen + (b,), left):
-                    return True
-        return False
+    def walk(unions: list[int], bits: list[int], below: int) -> list[int] | None:
+        # The selections covering the prefix share no block; try each point
+        # some of them cover, above the prefix's last point (the mask below).
+        nonlocal nodes
+        if required < 0:
+            pool = reduce(or_, unions)
+        else:
+            pool = reduce(or_, compress(unions, map(and_, bits, repeat(1 << required))), 0)
+        pool &= ~below
+        size = len(unions)
+        while pool:
+            bit = pool & -pool
+            pool ^= bit
+            nodes += size
+            if nodes > room:
+                raise _BudgetStop
+            keep = list(map(and_, unions, repeat(bit)))
+            covers = list(compress(bits, keep))
+            if reduce(and_, covers):
+                continue
+            prefix.append(bit.bit_length() - 1)
+            if len(prefix) == w:
+                return covers
+            found = walk(list(compress(unions, keep)), covers, (bit << 1) - 1)
+            if found is not None:
+                return found
+            prefix.pop()
+        return None
 
     try:
-        if nodes > room:
-            raise _BudgetStop
-        rec((), t_mask)
+        covers = walk(unions, bits, 0)
     finally:
         work.count += nodes
-    return common
-
-
-def _minimal_covers(masks, pb: list[list[int]], t_mask: int, limit: int,
-                    work: _Work) -> list[tuple[int, ...]]:
-    """All minimal covers of ``t_mask`` of size <= limit, sorted."""
-    found: set[frozenset[int]] = set()
-
-    def rec(chosen: tuple[int, ...], covered: int) -> None:
-        work.tick()
-        rest = t_mask & ~covered
-        if rest == 0:
-            found.add(frozenset(chosen))
-            return
-        if len(chosen) >= limit:
-            return
-        p = (rest & -rest).bit_length() - 1
-        for b in pb[p]:
-            if b not in chosen:
-                rec(chosen + (b,), covered | masks[b])
-
-    rec((), 0)
-    minimal = [c for c in found if not any(o < c for o in found)]
-    return sorted(tuple(sorted(c)) for c in minimal)
-
-
-def _ipps_pirate_sets(masks, coalitions, sizes: tuple[int, ...], work: _Work):
-    """Each subset of a coalition union whose size is in ``sizes``, once.
-
-    Yields ascending point tuples.  Any set coverable by <= t blocks is a
-    subset of the union of some min(t, m)-coalition, so passing all of those
-    coalitions is exhaustive.
-    """
-    seen: set[tuple[int, ...]] = set()
-    for coalition in coalitions:
-        upoints = _points(_union(masks, coalition))
-        for k in sizes:
-            if k > len(upoints):
-                continue
-            work.tick(comb(len(upoints), k))
-            for tpts in combinations(upoints, k):
-                if tpts not in seen:
-                    seen.add(tpts)
-                    yield tpts
-
-
-def _verify_ipps_over(s: SetSystem, t: int, sizes: tuple[int, ...],
-                      budget: int) -> VerifyOutcome:
-    if t < 1:
-        raise ParamsInvalid(f"strength t={t} must be >= 1")
-    work = _Work(budget)
-    if s.m == 0:
-        return VerifyOutcome(HOLDS, EXHAUSTIVE, work=0)
-    pb = _point_blocks(s)
-    masks = s.masks
-    try:
-        coalitions = combinations(range(s.m), min(t, s.m))
-        # Lexicographic order of the pirate sets makes the witness canonical.
-        for tpts in sorted(_ipps_pirate_sets(masks, coalitions, sizes, work)):
-            t_mask = _mask(tpts)
-            common = _cover_common(masks, pb, t_mask, t, work)
-            if common is not None and not common:
-                parents = _minimal_covers(masks, pb, t_mask, t, work)
-                wit = IppsAmbiguity(pirate=tpts, parents=tuple(parents), strength=t)
-                return VerifyOutcome(VIOLATED, EXHAUSTIVE, witness=wit, work=work.count)
-        return VerifyOutcome(HOLDS, EXHAUSTIVE, work=work.count)
-    except _BudgetStop:
-        return VerifyOutcome(INCONCLUSIVE, EXHAUSTIVE, detail=BUDGET_EXCEEDED, work=work.count)
+    return None if covers is None else (tuple(prefix), covers)
 
 
 def verify_ipps(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOutcome:
-    """Holds iff every width-w pirate set with a cover has a common parent block."""
-    return _verify_ipps_over(s, t, (s.w,), budget)
+    """Holds iff every width-w pirate set with a cover has a common parent block.
+
+    Decided by :func:`_ipps_ambiguity`; a violation reports the
+    lexicographically first ambiguous w-set and all its minimal covers.
+    """
+    if t < 1:
+        raise ParamsInvalid(f"strength t={t} must be >= 1")
+    work = _Work(budget)
+    try:
+        found = _ipps_ambiguity(s.masks, s.w, t, work)
+    except _BudgetStop:
+        return VerifyOutcome(INCONCLUSIVE, EXHAUSTIVE, detail=BUDGET_EXCEEDED, work=work.count)
+    if found is None:
+        return VerifyOutcome(HOLDS, EXHAUSTIVE, work=work.count)
+    pirate, covers = found
+    # A cover is minimal when no cover is one block smaller.
+    covers = set(covers)
+    parents = sorted(tuple(_points(b)) for b in covers
+                     if not any(b & ~(1 << i) in covers for i in _points(b)))
+    wit = IppsAmbiguity(pirate=pirate, parents=tuple(parents), strength=t)
+    return VerifyOutcome(VIOLATED, EXHAUSTIVE, witness=wit, work=work.count)
 
 
 def verify_ipps_star(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOutcome:
-    """Like :func:`verify_ipps` but pirate sets range over sizes w..t*w."""
-    sizes = tuple(range(s.w, t * s.w + 1))
-    return _verify_ipps_over(s, t, sizes, budget)
+    """Like :func:`verify_ipps` but pirate sets range over sizes w..t*w.
+
+    The same decision: a larger ambiguous set has an ambiguous w-point
+    prefix, which sorts before it, so verdict and witness are those of
+    :func:`verify_ipps`.
+    """
+    return verify_ipps(s, t, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -215,3 +215,31 @@ def test_missing_required_flag_is_usage_error(tmp_path, capsys):
     assert main(["verify", "--property", "ts", str(path)]) == 2
     assert main(["verify", "--property", "design", str(path)]) == 2
     capsys.readouterr()
+
+
+def test_certified_budget_stop_is_reported(tmp_path, capsys):
+    # Two disjoint blocks pass the packing condition, but budget 0 stops
+    # the check before it decides anything.
+    path = tmp_path / "two.ss"
+    path.write_text(render_set_system(new_set_system(6, [[0, 1, 2], [3, 4, 5]])),
+                    encoding="utf-8")
+    code = main(["verify", "--property", "ts", "--t", "2", "--mode", "certified",
+                 "--budget", "0", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "verdict=inconclusive" in captured.out
+    assert "detail: BudgetExceeded" in captured.err
+
+
+def test_negative_budget_is_usage_error(tmp_path, capsys):
+    path = _write_triples(tmp_path, 5)
+    for argv in (["verify", "--property", "ipps", "--t", "2", "--budget", "-1", str(path)],
+                 ["search", "--property", "ipps", "--t", "2", "--w", "3", "--v", "5",
+                  "--budget", "-1"],
+                 ["trace", "--kind", "ts-from-cff", "--t", "2", "--budget", "-1", str(path)],
+                 ["construct", "--family", "greedy", "--v", "10", "--w", "3", "--t", "2",
+                  "--budget", "-1"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --budget must be >= 0"), argv
+        assert captured.out == ""

@@ -33,7 +33,14 @@ from traceschemes import (
     verify_ts,
 )
 from traceschemes.core import FormatError
-from traceschemes.verify import _overlap_row_max, _ts_evader, _ts_evasion, _ts_packs, _Work
+from traceschemes.verify import (
+    _ipps_ambiguity,
+    _overlap_row_max,
+    _ts_evader,
+    _ts_evasion,
+    _ts_packs,
+    _Work,
+)
 
 
 # --- literal re-statements of the definitions, used as oracles ------------
@@ -568,6 +575,66 @@ def test_ipps_kernel_matches_definition(s, t):
     if out.violated:
         assert out.witness.pirate == first
         assert check_witness(s, out.witness)[0]
+
+
+def brute_covers(s, t, pts):
+    """Every selection of 1..t blocks whose union holds ``pts``, as sets."""
+    return [set(coal) for sc in range(1, t + 1) for coal in combinations(range(s.m), sc)
+            if set(pts) <= set().union(*(s.blocks[j] for j in coal))]
+
+
+@given(wide_systems(), st.integers(1, 3))
+def test_ipps_star_equals_ipps(s, t):
+    # A larger ambiguous set has an ambiguous w-point prefix that sorts first.
+    a, b = verify_ipps(s, t), verify_ipps_star(s, t)
+    assert (a.verdict, a.witness) == (b.verdict, b.witness)
+
+
+@given(wide_systems(), st.integers(1, 3))
+def test_ipps_witness_subsets_are_ambiguous(s, t):
+    out = verify_ipps(s, t)
+    if out.violated:
+        pirate = out.witness.pirate
+        for k in range(1, len(pirate) + 1):
+            for sub in combinations(pirate, k):
+                covers = brute_covers(s, t, sub)
+                assert covers and not set.intersection(*covers), sub
+        # The parents are exactly the minimal covers of the pirate set.
+        covers = brute_covers(s, t, pirate)
+        minimal = sorted(tuple(sorted(c)) for c in covers if not any(o < c for o in covers))
+        assert list(out.witness.parents) == minimal
+
+
+@given(wide_systems(), st.integers(1, 3), st.data())
+def test_ipps_kernel_with_a_required_block(s, t, data):
+    # The search asks for the first ambiguous w-set that some cover holding
+    # the new block covers; here any block may be the required one.
+    required = data.draw(st.integers(0, s.m - 1))
+    found = _ipps_ambiguity(s.masks, s.w, t, _Work(10**9), required)
+    first = None
+    for tpts in combinations(range(s.v), s.w):
+        covers = brute_covers(s, t, tpts)
+        if covers and not set.intersection(*covers) and any(required in c for c in covers):
+            first = tpts
+            break
+    assert (found and found[0]) == first
+
+
+@given(wide_systems(), st.integers(1, 3), st.integers(0, 2000))
+def test_ipps_budget_is_sound(s, t, budget):
+    full = verify_ipps(s, t)
+    out = verify_ipps(s, t, budget=budget)
+    if out.inconclusive:
+        assert out.detail == "BudgetExceeded"
+    else:
+        assert (out.verdict, out.witness) == (full.verdict, full.witness)
+
+
+def test_ipps_work_stays_below_candidate_listing():
+    # Listing, sorting and cover-searching every coverable w-set took work
+    # 2,062,980 and 1,457,862 here; the depth-first walk needs under half.
+    assert verify_ipps(ag_lines(2, 5), 2, budget=2_062_980 // 2).holds
+    assert verify_ipps_star(pg_lines(2, 4), 2, budget=1_457_862 // 2).holds
 
 
 @given(small_systems(), st.integers(1, 3))
