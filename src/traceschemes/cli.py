@@ -106,14 +106,11 @@ def _cmd_verify(args) -> int:
         if args.t is None:
             raise SchemeError(f"--t is required for property {prop}")
         if prop == "ts":
-            if args.mode == "exhaustive":
+            # auto: certified first, exhaustive fall-through
+            first = verify_mod.EXHAUSTIVE if args.mode == "exhaustive" else verify_mod.CERTIFIED
+            outcome = verify_mod.verify_ts(system, args.t, first, budget)
+            if args.mode == "auto" and outcome.inconclusive:
                 outcome = verify_mod.verify_ts(system, args.t, verify_mod.EXHAUSTIVE, budget)
-            elif args.mode == "certified":
-                outcome = verify_mod.verify_ts(system, args.t, verify_mod.CERTIFIED, budget)
-            else:  # auto: certified first, exhaustive fall-through
-                outcome = verify_mod.verify_ts(system, args.t, verify_mod.CERTIFIED, budget)
-                if outcome.inconclusive:
-                    outcome = verify_mod.verify_ts(system, args.t, verify_mod.EXHAUSTIVE, budget)
         else:
             if args.mode == "certified":
                 raise SchemeError(f"certified mode applies to ts only, not {prop}")
@@ -204,16 +201,12 @@ def _cmd_stats(args) -> int:
     system = _load_system(args.file)
     print(f"stats v={system.v} w={system.w} m={system.m}")
     if system.m >= 2:
-        # A running min and max: a list of all m(m-1)/2 pairs would be the
-        # largest thing the command holds.
-        lo, hi = system.w, 0
-        for row in verify_mod._overlap_rows(system.masks):
-            lo, hi = min(lo, *row), max(hi, *row)
+        lo, hi = system.w, 0  # a block missing some other block makes the minimum 0
+        for counts in verify_mod._overlaps(system, verify_mod._Work(float("inf"))):
+            hi = max(hi, max(counts.values(), default=0))
+            lo = min(lo, min(counts.values())) if len(counts) == system.m - 1 else 0
         print(f"pair-intersections min={lo} max={hi}")
-    degrees = [0] * system.v
-    for b in system.blocks:
-        for p in b:
-            degrees[p] += 1
+    degrees = list(map(len, verify_mod._point_blocks(system)))
     if system.v:
         print(f"point-degrees min={min(degrees)} max={max(degrees)}")
     return EXIT_OK

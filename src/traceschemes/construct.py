@@ -210,21 +210,23 @@ def hermitian_unital(q: int) -> SetSystem:
     """
     field = gf(q * q)
     pts = _projective_points(field, 3)
-    curve = [pt for pt in pts
-             if not _hermitian_form(field, q, pt)]
+    curve = [pt for pt in pts if not _hermitian_form(field, q, pt)]
     index = {pt: i for i, pt in enumerate(curve)}
-    on_curve = set(curve)
+    # collinear[i]: the points of the sections built so far through point i.
+    collinear = [0] * len(curve)
     blocks: set[frozenset[int]] = set()
     for i, j in combinations(range(len(curve)), 2):
+        if collinear[i] >> j & 1:
+            continue
         p_vec, q_vec = curve[i], curve[j]
-        section = set()
-        cq = _canon_projective(field, q_vec)
-        if cq in on_curve:
-            section.add(index[cq])
+        section = {j}  # the line is q_vec and p_vec + lam * q_vec
         for lam in range(field.q):
             pt = _canon_projective(field, _vec_add(field, p_vec, _vec_scale(field, lam, q_vec)))
-            if pt in on_curve:
+            if pt in index:
                 section.add(index[pt])
+        line = _mask(section)
+        for a in section:
+            collinear[a] |= line
         blocks.add(frozenset(section))
     return new_set_system(len(curve), [sorted(b) for b in blocks])
 

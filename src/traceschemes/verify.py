@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, compress, repeat
+from itertools import chain, combinations, compress, repeat
 from math import comb
 from operator import and_, or_
 
@@ -136,6 +136,21 @@ def _point_blocks(s: SetSystem) -> list[list[int]]:
     return pb
 
 
+def _overlaps(s: SetSystem, work: _Work):
+    """For each block i in turn, a Counter of |B_i & B_j| over the j != i meeting B_i.
+
+    Counted through the point -> blocks index, so block i costs the sum of
+    its points' degrees, one work unit each, paid before its Counter is built.
+    """
+    pb = _point_blocks(s)
+    for i, b in enumerate(s.blocks):
+        lists = [pb[p] for p in b]
+        work.tick(sum(map(len, lists)))
+        counts = Counter(chain.from_iterable(lists))
+        del counts[i]
+        yield counts
+
+
 # ---------------------------------------------------------------------------
 # designs and packings
 
@@ -176,16 +191,17 @@ def verify_packing(s: SetSystem, tau: int, budget: int = DEFAULT_BUDGET) -> Veri
         raise TauOutOfRange(f"tau={tau} outside [1, {s.w}]")
     work = _Work(budget)
     try:
-        # Equivalent to every pairwise block intersection having size < tau.
+        # Every two blocks must share < tau points; report the least shared tau-subset.
         repeated: tuple[int, ...] | None = None
-        for i, j in combinations(range(s.m), 2):
-            work.tick()
-            inter = s.masks[i] & s.masks[j]
-            if inter.bit_count() >= tau:
-                shared = tuple(p for p in s.blocks[i] if inter >> p & 1)
-                cand = min(combinations(shared, tau))
-                if repeated is None or cand < repeated:
-                    repeated = cand
+        for i, counts in enumerate(_overlaps(s, work)):
+            if max(counts.values(), default=0) < tau:
+                continue
+            for j, c in counts.items():
+                if j > i and c >= tau:
+                    other = s.masks[j]
+                    cand = tuple(p for p in s.blocks[i] if other >> p & 1)[:tau]
+                    if repeated is None or cand < repeated:
+                        repeated = cand
         if repeated is None:
             return VerifyOutcome(HOLDS, EXHAUSTIVE, work=work.count)
         detail = f"{tau}-subset {list(repeated)} covered more than once"
@@ -420,25 +436,13 @@ def _ts_evader(masks, coalition: tuple[int, ...], outsiders: list[int], w: int,
     return None
 
 
-def _overlap_rows(masks: list[int]):
-    """For each block i but the last, the list of |B_i & B_j| over j > i."""
-    for i, b in enumerate(masks[:-1]):
-        yield list(map(int.bit_count, map(b.__and__, masks[i + 1:])))
-
-
-def _overlap_row_max(masks: list[int], work: _Work):
+def _overlap_row_max(s: SetSystem, work: _Work):
     """Yield the largest |B_i & B_j| over j != i for i = 0, 1, ... in turn.
 
-    Rows are intersected only as far as the caller reads, so a walk that
-    stops at an early block pays for a prefix; one work unit per pair.
+    Rows are counted only as far as the caller reads, so a walk that stops
+    at an early block pays for a prefix.
     """
-    best = [0] * len(masks)
-    for i, row in enumerate(_overlap_rows(masks)):
-        work.tick(len(row))
-        best[i + 1:] = [x if x > r else r for x, r in zip(row, best[i + 1:])]
-        yield max(best[i], *row)
-    if masks:
-        yield best[-1]
+    return (max(counts.values(), default=0) for counts in _overlaps(s, work))
 
 
 def _extension_certificate_holds(s: SetSystem, t: int, cert) -> tuple[bool, str]:
@@ -519,7 +523,7 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
     # the sum of the members' largest overlaps with any other block.
     least = [0] + [_ceil_div(w, k) for k in range(1, min(t, s.m) + 1)]
     try:
-        maxima = _overlap_row_max(masks, work)
+        maxima = _overlap_row_max(s, work)
         rowmax: list[int] = []
         for coalition in _coalitions_lex(s.m, t):
             work.tick()
@@ -734,7 +738,7 @@ def render_witness(wit: Witness) -> str:
 
 def parse_witness(text: str) -> Witness:
     """Parse the text block produced by :func:`render_witness`."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("witness "):
         raise FormatError("missing 'witness <kind>' line")
     kind = lines[0].split(None, 1)[1]

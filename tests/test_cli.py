@@ -1,6 +1,13 @@
 """Command-line front end: exit codes, streams, round trips."""
 
+import contextlib
+import io
+import tempfile
 from itertools import combinations
+from pathlib import Path
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from traceschemes import new_set_system, parse_set_system, render_set_system
 from traceschemes.cli import main
@@ -35,6 +42,9 @@ def test_verify_violation_emits_witness(tmp_path, capsys):
     assert "verdict=violated" in captured.out
     assert "witness ts-evasion" in captured.out
     assert "coalition 0 1" in captured.out
+    assert "mode=exhaustive" in captured.out  # auto fell through from certified
+    code = main(["verify", "--property", "ts", "--t", "2", "--mode", "certified", str(path)])
+    assert code == 3 and "mode=certified verdict=inconclusive" in capsys.readouterr().out
 
 
 def test_verify_inconclusive_budget(tmp_path, capsys):
@@ -167,6 +177,32 @@ def test_stats_pair_intersections_over_all_pairs(tmp_path, capsys):
     line = f"pair-intersections min={min(inters)} max={max(inters)}"
     assert line == "pair-intersections min=0 max=3"
     assert line in capsys.readouterr().out.splitlines()
+
+
+@st.composite
+def stat_systems(draw):
+    """One to eight narrow blocks on up to twelve points: some pairs are disjoint."""
+    v = draw(st.integers(3, 12))
+    w = draw(st.integers(1, 3))
+    block = st.lists(st.integers(0, v - 1), min_size=w, max_size=w, unique=True)
+    return new_set_system(v, draw(st.lists(block.map(sorted).map(tuple), min_size=1,
+                                           max_size=8, unique=True)))
+
+
+@given(stat_systems())
+def test_stats_pair_intersections_match_brute_force(s):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.ss"
+        path.write_text(render_set_system(s), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["stats", str(path)]) == 0
+    lines = [ln for ln in out.getvalue().splitlines() if ln.startswith("pair-intersections")]
+    if s.m == 1:
+        assert lines == []
+    else:
+        inters = [len(set(a) & set(b)) for a, b in combinations(s.blocks, 2)]
+        assert lines == [f"pair-intersections min={min(inters)} max={max(inters)}"]
 
 
 def test_extend_via_cli(tmp_path, capsys):

@@ -396,6 +396,13 @@ def test_witness_parse_rejections(text):
         parse_witness(text)
 
 
+def test_witness_parse_skips_indented_comments():
+    # Set-system files ignore an indented "#" line; witness files must too.
+    wit = TsEvasion(coalition=(0, 5), pirate=(1, 2, 3, 7, 9), outsider=12)
+    text = "  # note\n" + render_witness(wit) + "\t# another note\n"
+    assert parse_witness(text) == wit
+
+
 def test_tampered_witnesses_fail_revalidation():
     s = new_set_system(6, list(combinations(range(6), 3)))
     out = verify_ts(s, 2)
@@ -540,7 +547,7 @@ def sparse_systems(draw):
 
 def _assert_row_max_skips_are_sound(s, t):
     """Check the rowmax skip on every coalition of 2..t blocks; count the skips."""
-    rowmax = list(_overlap_row_max(s.masks, _Work(10**9)))
+    rowmax = list(_overlap_row_max(s, _Work(10**9)))
     blocks = [set(b) for b in s.blocks]
     assert rowmax == [max(len(b & c) for j, c in enumerate(blocks) if j != i)
                       for i, b in enumerate(blocks)]
@@ -565,6 +572,48 @@ def test_row_max_skip_admits_no_evasion(s, t):
 def test_row_max_skips_every_pair_of_lines():
     # Lines of PG(2, 4) meet in one point: two members reach at most 2 < 3.
     assert _assert_row_max_skips_are_sound(pg_lines(2, 4), 2) == 210
+
+
+def brute_first_repeated_subset(s, tau):
+    """Lexicographically first tau-subset lying in two or more blocks."""
+    blocks = [set(b) for b in s.blocks]
+    for sub in combinations(range(s.v), tau):
+        if sum(set(sub) <= b for b in blocks) >= 2:
+            return sub
+    return None
+
+
+@given(st.one_of(small_systems(), wide_systems(), sparse_systems()), st.integers(0, 2000))
+def test_packing_matches_definition(s, budget):
+    for tau in range(1, s.w + 1):
+        out = verify_packing(s, tau)
+        first = brute_first_repeated_subset(s, tau)
+        assert out.holds == (first is None)
+        if first is not None:
+            assert out.detail == f"{tau}-subset {list(first)} covered more than once"
+        cut = verify_packing(s, tau, budget=budget)
+        if cut.inconclusive:
+            assert cut.detail == "BudgetExceeded"
+        else:
+            assert (cut.verdict, cut.detail) == (out.verdict, out.detail)
+
+
+def test_certified_ts_reads_each_incidence_once_per_block():
+    # 1,200 lines {(x, ax+b mod 67): x < 61} of a 67-by-61 grid meet in at
+    # most one point, below ceil(61/49) = 2.  The pair counts come from the
+    # point index, one work unit per (point, block) incidence read, not one
+    # per block pair.
+    p, w = 67, 61
+    lines = random.Random(5).sample(range(p * p), 1200)
+    s = new_set_system(w * p, [[x * p + (a * x + b) % p for x in range(w)]
+                               for a, b in (divmod(line, p) for line in lines)])
+    degree = [0] * s.v
+    for block in s.blocks:
+        for pt in block:
+            degree[pt] += 1
+    out = verify_ts(s, 7, mode="certified")
+    assert out.holds and out.mode == "certified"
+    assert out.work == sum(degree[pt] for block in s.blocks for pt in block)
 
 
 @given(small_systems(), st.integers(1, 3))
