@@ -199,9 +199,9 @@ def render_set_system(s: SetSystem) -> str:
 def parse_set_system(text: str) -> SetSystem:
     """Parse the text format produced by :func:`render_set_system`.
 
-    Rejects trailing garbage, out-of-range points, width mismatches and a
-    block count that disagrees with the header.  ``#`` lines and blank
-    lines are ignored.
+    Rejects trailing garbage, out-of-range points, width mismatches, a
+    header width outside [1, v] and a block count that disagrees with the
+    header.  ``#`` lines and blank lines are ignored.
     """
     header: tuple[int, int, int] | None = None
     body: list[list[int]] = []
@@ -220,7 +220,7 @@ def parse_set_system(text: str) -> SetSystem:
                 if key not in ("v", "w", "m") or val is None:
                     raise FormatError(f"line {lineno}: bad header field {f!r}")
                 vals[key] = val
-            if set(vals) != {"v", "w", "m"} or min(vals.values()) < 0:
+            if set(vals) != {"v", "w", "m"} or vals["m"] < 0 or not 1 <= vals["w"] <= vals["v"]:
                 raise FormatError(f"line {lineno}: bad header {line!r}")
             header = (vals["v"], vals["w"], vals["m"])
             continue

@@ -5,11 +5,11 @@ family (CFF), strength-t parent-identifying set system (IPPS, plus its
 variant over pirate sets larger than one block width), and strength-t
 traceability scheme (TS).  Exhaustive mode covers the full quantifier
 space and is decisive; for TS it decides whether some pirate set evades a
-coalition by counting overlaps, and lists pirate sets only to write the
-witness; for IPPS it extends ambiguous point sets depth first, a point at
-a time.  Certified mode for TS proves the property from a
-pairwise-intersection packing condition or from a design-extension
-certificate, and says "inconclusive" otherwise.
+coalition by counting overlaps, and builds the witness's pirate set a
+point at a time by the same counting; for IPPS it extends ambiguous point
+sets depth first, a point at a time.  Certified mode for TS proves the
+property from a pairwise-intersection packing condition or from a
+design-extension certificate, and says "inconclusive" otherwise.
 
 Every violation is reported as a structured witness that re-validates
 against the raw system by direct recomputation (see :func:`check_witness`),
@@ -294,44 +294,6 @@ def _coalitions_lex(m: int, t: int):
         yield from rec((), 0)
 
 
-def _ts_evasion(masks, coalition: tuple[int, ...], outsiders: list[int], w: int,
-               work: _Work) -> tuple[tuple[int, ...], int] | None:
-    """Lexicographically first (pirate set, outsider) evading ``coalition``.
-
-    Pirate sets are the w-subsets of the coalition's union, taken in
-    lexicographic order; for each, the ascending ``outsiders`` are tried in
-    turn.  Returns None iff no pirate set evades the coalition.  It writes
-    the witness; :func:`_ts_evader` decides without listing pirate sets.
-    """
-    union = _union(masks, coalition)
-    if union.bit_count() < w:
-        return None
-    work.tick(len(outsiders))  # eligibility scan below
-    # An outsider needs |T & B| >= max member overlap >= ceil(w / |coalition|).
-    floor_thr = _ceil_div(w, len(coalition))
-    eligible = [(o, masks[o]) for o in outsiders if (masks[o] & union).bit_count() >= floor_thr]
-    if not eligible:
-        return None
-    coal_masks = [masks[i] for i in coalition]
-    step = len(coalition) + len(eligible)
-    spent = 0
-    room = work.budget - work.count
-    try:
-        for subset in combinations([1 << p for p in _points(union)], w):
-            spent += step
-            if spent > room:
-                raise _BudgetStop
-            t_mask = sum(subset)
-            # The largest member overlap, computed without a Python frame.
-            thr = max(map(int.bit_count, map(t_mask.__and__, coal_masks)))
-            for o, om in eligible:
-                if (t_mask & om).bit_count() >= thr:
-                    return tuple(_points(t_mask)), o
-    finally:
-        work.count += spent
-    return None
-
-
 def _ts_packs(cells, caps: list[int], keep: int, need: int, work: _Work) -> bool:
     """Whether ``need`` points of ``keep`` can be picked from the ``cells``.
 
@@ -380,48 +342,62 @@ def _ts_packs(cells, caps: list[int], keep: int, need: int, work: _Work) -> bool
 
 
 def _ts_evader(masks, coalition: tuple[int, ...], outsiders: list[int], w: int,
-               work: _Work) -> int | None:
+               work: _Work, *, fixed: int = 0, span: int | None = None) -> int | None:
     """First of ``outsiders`` that some pirate set lets evade ``coalition``.
 
-    Decided by counting overlaps, without listing pirate sets.  Let U be the
-    coalition's union, O an outsider and a = |O & U|.  Swapping a pirate
-    point outside O for an unused point of O & U never lowers O's margin
-    over a member, so some best pirate set takes min(a, w) points of O & U:
-    if a >= w, O evades outright.  Otherwise O evades iff w - a points of
-    U - O can be picked with at most cap_i = a - |O & B_i| of them in each
-    member B_i.  By the same swap, a point of U - O in B_i alone is never
-    worse than one in B_i and other members, so B_i's own points are taken
-    first, up to cap_i; the points in several members are then packed by
-    :func:`_ts_packs`.  Returns None iff no pirate set evades the coalition.
-    One work unit per outsider examined, plus the packing nodes.
+    Decided by counting overlaps, without listing pirate sets.  Pirate sets
+    are the w-subsets of ``span`` (a subset of the coalition's union U,
+    all of U by default) that hold the points of ``fixed``; the other points
+    are free.  Let O be an outsider.  Swapping a free pirate point outside O
+    for an unused free point of O never lowers O's margin over a member, so
+    some best pirate set takes as many free points of O as fit.  If they
+    fill the pirate set, the rest are picked inside O, with at most
+    cap_i = |P & O| - |fixed & B_i| of them in member B_i; otherwise all
+    free points of O are taken and the rest are picked from span - O, with
+    cap_i = |P & O| - |(fixed | free points of O) & B_i|.  A negative cap
+    means O cannot evade, and caps of at least the number left to pick
+    mean O evades outright.  By the same swap, a point in B_i alone is
+    never worse than one in B_i and other members, so B_i's own points are
+    taken first, up to cap_i; the points in several members are then
+    packed by :func:`_ts_packs`.  Returns None iff no such pirate set lets
+    any of ``outsiders`` evade.  One work unit per outsider examined, plus
+    the packing nodes.
     """
-    union = _union(masks, coalition)
-    if union.bit_count() < w:
+    span = _union(masks, coalition) if span is None else span
+    if span.bit_count() < w:
         return None
     work.tick(len(outsiders))
-    coal_masks = [masks[i] for i in coalition]
+    coal_masks = [masks[i] & span for i in coalition]
     shared = seen = 0  # shared: the points in two or more members
     for b in coal_masks:
         shared |= seen & b
         seen |= b
-    lone = union & ~shared
-    # O can evade only if a + sum(caps) >= w, and a + sum(caps) <= |C| a, as
-    # every point of O & U is in some member.
+    lone = span & ~shared
+    free = span & ~fixed
+    pick = w - fixed.bit_count()
+    # O can evade only if |P & O| >= the largest member overlap, which is
+    # at least ceil(w / |C|), as every point of P is in some member.
     least = _ceil_div(w, len(coal_masks))
     cells = None
     for o in outsiders:
         om = masks[o]
-        a = (om & union).bit_count()
+        a = (om & span).bit_count()
         if a < least:
             continue
-        if a >= w:
-            return o
-        need = w - a
-        caps = [a - (om & b).bit_count() for b in coal_masks]
-        if sum(caps) < need:
+        got = (om & free).bit_count()
+        if got >= pick:  # the free points of O fill the pirate set
+            a -= got - pick
+            taken, keep, need = fixed, om & free, pick
+        else:
+            taken, keep, need = om | fixed, free & ~om, pick - got
+        caps = [a - (taken & b).bit_count() for b in coal_masks]
+        # Every point picked uses at least one unit of cap.
+        if sum(caps) < need or min(caps) < 0:
             continue
+        if min(caps) >= need:
+            return o
         for i, b in enumerate(coal_masks):
-            own = min(caps[i], (b & lone & ~om).bit_count())
+            own = min(caps[i], (b & lone & keep).bit_count())
             need -= own
             caps[i] -= own
         if need <= 0:
@@ -431,18 +407,34 @@ def _ts_evader(masks, coalition: tuple[int, ...], outsiders: list[int], w: int,
             for i, b in enumerate(coal_masks):
                 cells = [(c, p & ~b) for c, p in cells] + [(c + (i,), p & b) for c, p in cells]
             cells = [(c, p) for c, p in cells if p]
-        if _ts_packs(cells, caps, ~om, need, work):
+        if _ts_packs(cells, caps, keep, need, work):
             return o
     return None
 
 
-def _overlap_row_max(s: SetSystem, work: _Work):
-    """Yield the largest |B_i & B_j| over j != i for i = 0, 1, ... in turn.
+def _ts_witness(masks, coalition: tuple[int, ...], outsiders: list[int], w: int,
+                work: _Work) -> tuple[tuple[int, ...], int] | None:
+    """Lexicographically first (pirate set, outsider) evading ``coalition``.
 
-    Rows are counted only as far as the caller reads, so a walk that stops
-    at an early block pays for a prefix.
+    The pirate set is built a point at a time: the next point is the least
+    p of the union above the prefix for which :func:`_ts_evader` finds an
+    outsider evading some completion of prefix + p by points above p.  An
+    outsider no completion of a prefix lets evade stays out for every
+    longer prefix, so each scan resumes at the outsider last found; once
+    all w points are fixed, that is the first of ``outsiders`` the pirate
+    set lets evade.  Returns None iff no pirate set evades the coalition.
     """
-    return (max(counts.values(), default=0) for counts in _overlaps(s, work))
+    prefix, above = 0, _union(masks, coalition)
+    found = _ts_evader(masks, coalition, outsiders, w, work)
+    while found is not None and prefix.bit_count() < w:
+        outsiders = outsiders[outsiders.index(found):]
+        for p in _points(above):
+            found = _ts_evader(masks, coalition, outsiders, w, work,
+                               fixed=prefix | 1 << p, span=prefix | (above >> p << p))
+            if found is not None:
+                break
+        prefix, above = prefix | 1 << p, above >> (p + 1) << (p + 1)
+    return None if found is None else (tuple(_points(prefix)), found)
 
 
 def _extension_certificate_holds(s: SetSystem, t: int, cert) -> tuple[bool, str]:
@@ -488,33 +480,39 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
     outside block (size-1 coalitions cannot be evaded because blocks are
     distinct).  A coalition no outsider can overlap enough is skipped; for
     the others, whether some pirate set lets an outsider evade is decided
-    by counting overlaps (:func:`_ts_evader`), and the w-subsets of the
-    union are listed only for the first evaded coalition, to report the
-    lexicographically first witness.  Certified mode accepts a pairwise
-    intersection bound (every two blocks share < ceil(w/t^2) points) or a
-    design-extension certificate, and is otherwise inconclusive.
+    by counting overlaps (:func:`_ts_evader`); for the first evaded
+    coalition, :func:`_ts_witness` builds the lexicographically first
+    pirate set from the same counts, without listing w-subsets of the
+    union.  Certified mode accepts a pairwise intersection bound (every two
+    blocks share < ceil(w/t^2) points, checked up to the first pair that
+    does not) or a design-extension certificate, and is otherwise
+    inconclusive.
     """
     if t < 1:
         raise ParamsInvalid(f"strength t={t} must be >= 1")
+    work = _Work(budget)
     if mode == CERTIFIED:
         if s.m <= 1:
             return VerifyOutcome(HOLDS, CERTIFIED, detail="at most one block", work=0)
         tau = _ceil_div(s.w, t * t)
-        pk = verify_packing(s, tau, budget)
-        if pk.holds:
+        try:
+            # Only the verdict is needed: stop at the first block meeting another in tau points.
+            packs = all(max(counts.values(), default=0) < tau for counts in _overlaps(s, work))
+        except _BudgetStop:
+            packs = None
+        if packs:
             detail = f"pairwise intersections below {tau} certify strength {t}"
-            return VerifyOutcome(HOLDS, CERTIFIED, detail=detail, work=pk.work)
+            return VerifyOutcome(HOLDS, CERTIFIED, detail=detail, work=work.count)
         detail = "no packing certificate; run exhaustive mode"
         if certificate is not None:
             ok, detail = _extension_certificate_holds(s, t, certificate)
             if ok:
-                return VerifyOutcome(HOLDS, CERTIFIED, detail=detail, work=pk.work)
-        if pk.inconclusive:
+                return VerifyOutcome(HOLDS, CERTIFIED, detail=detail, work=work.count)
+        if packs is None:
             detail = BUDGET_EXCEEDED  # the packing condition was not decided
-        return VerifyOutcome(INCONCLUSIVE, CERTIFIED, detail=detail, work=pk.work)
+        return VerifyOutcome(INCONCLUSIVE, CERTIFIED, detail=detail, work=work.count)
     if mode != EXHAUSTIVE:
         raise ParamsInvalid(f"unknown mode {mode!r}")
-    work = _Work(budget)
     if t == 1 or s.m <= 1:
         return VerifyOutcome(HOLDS, EXHAUSTIVE, detail="size-1 coalitions cannot be evaded",
                              work=0)
@@ -523,7 +521,7 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
     # the sum of the members' largest overlaps with any other block.
     least = [0] + [_ceil_div(w, k) for k in range(1, min(t, s.m) + 1)]
     try:
-        maxima = _overlap_row_max(s, work)
+        maxima = (max(counts.values(), default=0) for counts in _overlaps(s, work))
         rowmax: list[int] = []
         for coalition in _coalitions_lex(s.m, t):
             work.tick()
@@ -532,10 +530,9 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
             if sum(map(rowmax.__getitem__, coalition)) < least[len(coalition)]:
                 continue
             outsiders = [o for o in range(s.m) if o not in coalition]
-            if _ts_evader(masks, coalition, outsiders, w, work) is not None:
-                # The scan only runs here, for the canonical witness.
-                tpts, o = _ts_evasion(masks, coalition, outsiders, w, work)
-                wit = TsEvasion(coalition=coalition, pirate=tpts, outsider=o)
+            found = _ts_witness(masks, coalition, outsiders, w, work)
+            if found is not None:
+                wit = TsEvasion(coalition=coalition, pirate=found[0], outsider=found[1])
                 return VerifyOutcome(VIOLATED, EXHAUSTIVE, witness=wit, work=work.count)
         return VerifyOutcome(HOLDS, EXHAUSTIVE, work=work.count)
     except _BudgetStop:

@@ -231,6 +231,10 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["verify", "--property", "cff", "--t", "2", "--mode", "certified",
                  str(bad)]) == 2
     capsys.readouterr()
+    for header in ("setsystem v=3 w=4 m=0\n", "setsystem v=3 w=0 m=0\n"):
+        bad.write_text(header, encoding="utf-8")
+        assert main(["stats", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 1: bad header"), header
 
 
 def test_non_ascii_integer_tokens_are_format_errors(tmp_path, capsys):

@@ -159,6 +159,8 @@ def test_parse_accepts_comments_and_blank_lines():
     "setsystem v=--5 w=1 m=0\n",                     # doubled sign in header
     "setsystem v=4 w=1 m=1\n\u00b9\n",               # non-ASCII digit in block
     "setsystem v=4 w=2 m=1\n-0 1\n",                # signed point
+    "setsystem v=3 w=4 m=0\n",                      # width above v
+    "setsystem v=3 w=0 m=0\n",                      # width zero
 ])
 def test_parse_rejections(text):
     with pytest.raises(SchemeError):

@@ -32,13 +32,14 @@ from traceschemes import (
     verify_packing,
     verify_ts,
 )
-from traceschemes.core import FormatError
+from traceschemes.core import FormatError, _ceil_div, _points, _union
 from traceschemes.verify import (
+    _BudgetStop,
     _ipps_ambiguity,
-    _overlap_row_max,
+    _overlaps,
     _ts_evader,
-    _ts_evasion,
     _ts_packs,
+    _ts_witness,
     _Work,
 )
 
@@ -98,6 +99,44 @@ def brute_cff(s, t):
                 if b0set <= union:
                     return False
     return True
+
+
+def _ts_evasion(masks, coalition: tuple[int, ...], outsiders: list[int], w: int,
+               work: _Work) -> tuple[tuple[int, ...], int] | None:
+    """Lexicographically first (pirate set, outsider) evading ``coalition``.
+
+    Pirate sets are the w-subsets of the coalition's union, taken in
+    lexicographic order; for each, the ascending ``outsiders`` are tried in
+    turn.  Returns None iff no pirate set evades the coalition.  The
+    brute-force authority for :func:`_ts_evader` and :func:`_ts_witness`.
+    """
+    union = _union(masks, coalition)
+    if union.bit_count() < w:
+        return None
+    work.tick(len(outsiders))  # eligibility scan below
+    # An outsider needs |T & B| >= max member overlap >= ceil(w / |coalition|).
+    floor_thr = _ceil_div(w, len(coalition))
+    eligible = [(o, masks[o]) for o in outsiders if (masks[o] & union).bit_count() >= floor_thr]
+    if not eligible:
+        return None
+    coal_masks = [masks[i] for i in coalition]
+    step = len(coalition) + len(eligible)
+    spent = 0
+    room = work.budget - work.count
+    try:
+        for subset in combinations([1 << p for p in _points(union)], w):
+            spent += step
+            if spent > room:
+                raise _BudgetStop
+            t_mask = sum(subset)
+            # The largest member overlap, computed without a Python frame.
+            thr = max(map(int.bit_count, map(t_mask.__and__, coal_masks)))
+            for o, om in eligible:
+                if (t_mask & om).bit_count() >= thr:
+                    return tuple(_points(t_mask)), o
+    finally:
+        work.count += spent
+    return None
 
 
 def _random_system(rng, v, w, m):
@@ -476,9 +515,10 @@ def wide_systems(draw, max_v=8, max_w=5):
 
 
 @st.composite
-def coalition_cases(draw):
-    """A wide system, a coalition of 2-4 of its blocks and some outsiders in any order."""
-    s = draw(wide_systems())
+def coalition_cases(draw, systems=None):
+    """A wide system (or one drawn from ``systems``), a coalition of 2-4 of
+    its blocks and some outsiders in any order."""
+    s = draw(wide_systems() if systems is None else systems)
     size = draw(st.integers(2, min(4, s.m - 1)))
     coalition = tuple(sorted(draw(st.lists(st.integers(0, s.m - 1), min_size=size,
                                            max_size=size, unique=True))))
@@ -503,6 +543,26 @@ def test_ts_evader_matches_pirate_set_scan(case):
     first = next((o for o in outsiders
                   if _ts_evasion(s.masks, coalition, [o], s.w, work) is not None), None)
     assert _ts_evader(s.masks, coalition, outsiders, s.w, work) == first
+
+
+@given(coalition_cases(), st.data())
+def test_ts_evader_with_fixed_points_matches_brute_force(case, data):
+    # Any fixed points inside any span inside the union, not only the
+    # prefix-and-above spans the witness builder asks about.
+    s, coalition, outsiders = case
+    union = sorted(set().union(*(s.blocks[i] for i in coalition)))
+    fixed = data.draw(st.lists(st.sampled_from(union), max_size=min(s.w, len(union)),
+                               unique=True))
+    span = set(fixed) | set(data.draw(st.lists(st.sampled_from(union), unique=True)))
+    blocks = [set(b) for b in s.blocks]
+    first = next((o for o in outsiders
+                  for extra in combinations(sorted(span - set(fixed)), s.w - len(fixed))
+                  if all(len(blocks[o] & (set(fixed) | set(extra)))
+                         >= len(blocks[i] & (set(fixed) | set(extra))) for i in coalition)),
+                 None)
+    got = _ts_evader(s.masks, coalition, outsiders, s.w, _Work(10**9),
+                     fixed=sum(1 << p for p in fixed), span=sum(1 << p for p in span))
+    assert got == first
 
 
 @st.composite
@@ -545,9 +605,22 @@ def sparse_systems(draw):
     return new_set_system(v, blocks)
 
 
+@given(st.one_of(coalition_cases(), coalition_cases(sparse_systems())))
+@example((new_set_system(10, [(0, 3, 4, 7), (0, 6, 8, 9), (1, 2, 4, 9), (1, 3, 6, 7),
+                              (3, 6, 7, 8)]), (0, 1, 4), [2, 3]))
+@example((new_set_system(5, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 4)]), (1, 2, 3, 4), [0]))
+@example((new_set_system(19, [(0, 1, 2, 3, 4, 15, 16, 17, 18), (0, 1, 2, 3, 5, 6, 7, 8, 9),
+                              (0, 1, 2, 4, 5, 10, 11, 12, 13),
+                              (6, 7, 8, 9, 10, 11, 12, 13, 14)]), (1, 2, 3), [0]))
+def test_ts_witness_matches_pirate_set_scan(case):
+    s, coalition, outsiders = case
+    assert (_ts_witness(s.masks, coalition, outsiders, s.w, _Work(10**9))
+            == _ts_evasion(s.masks, coalition, outsiders, s.w, _Work(10**9)))
+
+
 def _assert_row_max_skips_are_sound(s, t):
     """Check the rowmax skip on every coalition of 2..t blocks; count the skips."""
-    rowmax = list(_overlap_row_max(s, _Work(10**9)))
+    rowmax = [max(counts.values(), default=0) for counts in _overlaps(s, _Work(10**9))]
     blocks = [set(b) for b in s.blocks]
     assert rowmax == [max(len(b & c) for j, c in enumerate(blocks) if j != i)
                       for i, b in enumerate(blocks)]
@@ -596,6 +669,16 @@ def test_packing_matches_definition(s, budget):
             assert cut.detail == "BudgetExceeded"
         else:
             assert (cut.verdict, cut.detail) == (out.verdict, out.detail)
+
+
+def test_certified_ts_stops_at_the_first_violating_block():
+    # Blocks 0 and 1 share the 4-point core, so the packing condition fails
+    # at block 0: certified mode reads its 4 core points (degree m each)
+    # and its own point, not the other rows.
+    s = trivial_ts(30, 5)
+    out = verify_ts(s, 2, mode="certified")
+    assert out.inconclusive and out.detail == "no packing certificate; run exhaustive mode"
+    assert out.work == 4 * s.m + 1 < verify_packing(s, 2).work
 
 
 def test_certified_ts_reads_each_incidence_once_per_block():
@@ -677,6 +760,27 @@ def test_ipps_budget_is_sound(s, t, budget):
         assert out.detail == "BudgetExceeded"
     else:
         assert (out.verdict, out.witness) == (full.verdict, full.witness)
+
+
+@given(wide_systems(), st.integers(2, 4), st.integers(0, 2000))
+def test_ts_budget_is_sound(s, t, budget):
+    full = verify_ts(s, t)
+    out = verify_ts(s, t, budget=budget)
+    if out.inconclusive:
+        assert out.detail == "BudgetExceeded"
+    else:
+        assert (out.verdict, out.witness) == (full.verdict, full.witness)
+
+
+def test_ts_witness_needs_no_pirate_set_scan():
+    # The coalition's union has 45 points: listing its 18-point subsets
+    # (about 1.7e12) cannot finish, while the witness is built point by
+    # point in about 8,000 work units.
+    s = extend_design(pg_lines(2, 9), 8, 3)[0]
+    out = verify_ts(s, 4, budget=100_000)
+    assert out.violated
+    assert (out.witness.coalition, out.witness.outsider) == ((0, 1, 2, 3), 10)
+    assert check_witness(s, out.witness)[0]
 
 
 def test_ipps_work_stays_below_candidate_listing():
