@@ -31,7 +31,6 @@ from .bounds import (
 )
 from .construct import (
     CongruenceViolated,
-    DesignDescriptor,
     ExtensionCertificate,
     NotADesign,
     ag_lines,

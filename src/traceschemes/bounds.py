@@ -8,11 +8,15 @@ are integers.  Bounds that only apply under side conditions carry an
 Naming follows the customary attributions in the area: the Stinson-Wei
 and Collins bounds, the Erdos-Frankl-Furedi (EFF) cover-free bounds, and
 the newer general/special/packing bounds they were sharpened into.
+
+A t-TS is a t-CFF and also a t^2-CFF, so the TS upper bounds are CFF bounds
+at another strength: upper-sw is the EFF bound at t, and upper-general and
+upper-special are the refined EFF and special bounds at t^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, floor, ceil
 
@@ -64,6 +68,18 @@ def _inapplicable(name: str, direction: str, note: str) -> BoundValue:
     return BoundValue(name, direction, None, None, False, note)
 
 
+def _eff(r: int, w: int, v: int) -> Fraction:
+    """EFF own-subset bound for strength-r cover-free families."""
+    e = _ceil_div(w, r)
+    return Fraction(binom(v, e), binom(w - 1, e - 1))
+
+
+def _eff_refined(r: int, w: int, v: int) -> Fraction:
+    """Double-counting refinement of :func:`_eff`; never exceeds it."""
+    e = _ceil_div(w, r)
+    return Fraction(binom(v, e) - binom(w - 1, e), binom(w - 1, e - 1))
+
+
 # ---------------------------------------------------------------------------
 # IPPS upper bounds
 
@@ -87,10 +103,8 @@ def ipps_upper_new(p: SchemeParams) -> BoundValue:
 
 
 def ts_upper_sw(p: SchemeParams) -> BoundValue:
-    """Stinson-Wei bound via the same-strength cover-free relation."""
-    e = _ceil_div(p.w, p.t)
-    value = Fraction(binom(p.v, e), binom(p.w - 1, e - 1))
-    return _upper("upper-sw", value)
+    """Stinson-Wei bound: a t-TS is a t-CFF, so the EFF bound at t."""
+    return _upper("upper-sw", _eff(p.t, p.w, p.v))
 
 
 def ts_upper_collins(p: SchemeParams) -> BoundValue:
@@ -100,10 +114,9 @@ def ts_upper_collins(p: SchemeParams) -> BoundValue:
 
 
 def ts_upper_general(p: SchemeParams) -> BoundValue:
-    """Double-counting bound; reduces to v-w+1 when w <= t^2."""
-    tau = _ceil_div(p.w, p.t * p.t)
-    value = Fraction(binom(p.v, tau) - binom(p.w - 1, tau), binom(p.w - 1, tau - 1))
-    return _upper("upper-general", value)
+    """A t-TS is a t^2-CFF, so the refined EFF bound at t^2; reduces to
+    v-w+1 when w <= t^2."""
+    return _upper("upper-general", _eff_refined(p.t * p.t, p.w, p.v))
 
 
 def _special_case(r: int, w: int, v: int) -> tuple[bool, int, int, str]:
@@ -132,22 +145,9 @@ def _special_case(r: int, w: int, v: int) -> tuple[bool, int, int, str]:
 
 
 def ts_upper_special(p: SchemeParams) -> BoundValue:
-    """Special-case bound that the design constructions attain.
-
-    The stated ground-set threshold is vacuous for d = 0, where at small v
-    the formula can drop below the shared-core construction's v-w+1 blocks;
-    such values are provably false, so the bound is reported inapplicable
-    there instead.
-    """
-    ok, d, tau, note = _special_case(p.t * p.t, p.w, p.v)
-    if not ok:
-        return _inapplicable("upper-special", "upper", note)
-    value = Fraction(binom(p.v - d, tau), binom(p.w - d, tau))
-    if value < p.v - p.w + 1:
-        return _inapplicable("upper-special", "upper",
-                             f"ground set {p.v} too small: value would undercut "
-                             f"the constructive floor {p.v - p.w + 1}")
-    return _upper("upper-special", value, note)
+    """Special-case bound that the design constructions attain: the CFF
+    special bound at strength t^2."""
+    return cff_upper_special(p.t * p.t, p.w, p.v)
 
 
 def ts_exact_small(p: SchemeParams) -> BoundValue:
@@ -177,23 +177,21 @@ def ts_lower_packing(p: SchemeParams) -> BoundValue:
 
 def cff_upper_eff(p: SchemeParams) -> BoundValue:
     """Erdos-Frankl-Furedi own-subset bound for cover-free families."""
-    e = _ceil_div(p.w, p.t)
-    value = Fraction(binom(p.v, e), binom(p.w - 1, e - 1))
-    return _upper("upper-eff", value)
+    return _upper("upper-eff", _eff(p.t, p.w, p.v))
 
 
 def cff_upper_new(p: SchemeParams) -> BoundValue:
     """Double-counting refinement; never exceeds the EFF bound."""
-    e = _ceil_div(p.w, p.t)
-    value = Fraction(binom(p.v, e) - binom(p.w - 1, e), binom(p.w - 1, e - 1))
-    return _upper("upper-new", value)
+    return _upper("upper-new", _eff_refined(p.t, p.w, p.v))
 
 
 def cff_upper_special(r: int, w: int, v: int) -> BoundValue:
-    """Special-case CFF bound with strength r in place of t^2.
+    """Special-case CFF bound at strength r (the TS bound takes r = t^2).
 
-    Guarded by the constructive floor v-w+1 exactly like the traceability
-    variant: below it the stated threshold admits false values.
+    The stated ground-set threshold is vacuous for d = 0, where at small v
+    the formula can drop below the shared-core construction's v-w+1 blocks;
+    such values are provably false, so the bound is reported inapplicable
+    there instead.
     """
     if not (v >= w >= 1 and r >= 1):
         raise ParamsInvalid(f"need v >= w >= 1 and r >= 1, got r={r} w={w} v={v}")
@@ -241,8 +239,7 @@ def bound_report(p: SchemeParams, scheme: str) -> BoundReport:
     elif scheme == "ipps":
         collins = ipps_upper_collins(p)
         new = ipps_upper_new(p)
-        new = BoundValue(new.name, new.direction, new.value, new.integer_bound,
-                         new.applicable, (new.note + "; " + _CONJECTURE_NOTE).strip("; "))
+        new = replace(new, note=(new.note + "; " + _CONJECTURE_NOTE).strip("; "))
         entries = [collins, new]
     elif scheme == "cff":
         entries = [cff_upper_eff(p), cff_upper_new(p),

@@ -22,7 +22,6 @@ from .core import (
     ParamsInvalid,
     SchemeError,
     SchemeParams,
-    _ceil_div,
     enumerate_own_subsets,
     parse_set_system,
     render_set_system,
@@ -69,13 +68,9 @@ def _cmd_construct(args) -> int:
     elif fam == "extend":
         _require(args, "base", "d", "t")
         base = _load_system(args.base)
-        desc = construct_mod.DesignDescriptor(
-            family="from-file", tau=_ceil_div(base.w + args.d, args.t * args.t),
-            v=base.v, w=base.w, detail=args.base)
-        system, cert = construct_mod.extend_design(base, args.d, args.t, descriptor=desc)
+        system, cert = construct_mod.extend_design(base, args.d, args.t)
         print(f"certificate: d={cert.d} t={cert.t} tau={cert.tau} "
-              f"base={cert.base.family} {cert.base.tau}-({cert.base.v},{cert.base.w},1)",
-              file=sys.stderr)
+              f"base=from-file {cert.tau}-({base.v},{base.w},1)", file=sys.stderr)
     else:  # pragma: no cover - argparse restricts choices
         raise SchemeError(f"unknown family {fam}")
     _write_output(render_set_system(system), args.output)
@@ -159,6 +154,8 @@ def _cmd_search(args) -> int:
 
 def _cmd_trace(args) -> int:
     system = _load_system(args.file)
+    if args.t < 2:
+        raise ParamsInvalid(f"strength t={args.t} must be >= 2")
     if args.kind == "ts-from-cff":
         cff = verify_mod.verify_cff(system, args.t * args.t, args.budget)
         if cff.holds:

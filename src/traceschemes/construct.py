@@ -5,6 +5,11 @@ All generators emit canonical :class:`~traceschemes.core.SetSystem` objects
 with a fixed point numbering (field elements ordered by coefficient tuples,
 projective points by normalized homogeneous coordinates, the infinite point
 last), so repeated runs produce byte-identical files.
+
+The four tau-(v, w, 1) designs (projective and affine lines, the Hermitian
+unital, the inversive plane) each supply only the block through a given
+pair or triple of points; :func:`_steiner_blocks` walks the tau-subsets and
+builds each block once, from the first tau-subset it contains.
 """
 
 from __future__ import annotations
@@ -27,18 +32,6 @@ class CongruenceViolated(ParamsInvalid):
 
 
 @dataclass(frozen=True)
-class DesignDescriptor:
-    """Names a design family instance underlying a construction."""
-
-    family: str
-    tau: int
-    v: int
-    w: int
-    lam: int = 1
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class ExtensionCertificate:
     """Records why an extended design is a strength-t traceability scheme.
 
@@ -47,7 +40,6 @@ class ExtensionCertificate:
     verification re-derives the whole argument from the system itself.
     """
 
-    base: DesignDescriptor
     d: int
     t: int
     tau: int
@@ -68,6 +60,30 @@ def trivial_ts(v: int, w: int) -> SetSystem:
 
 # ---------------------------------------------------------------------------
 # finite-geometry designs
+
+
+def _steiner_blocks(n: int, tau: int, block_through) -> SetSystem:
+    """The tau-(n, w, 1) design whose block through each tau-subset S of
+    range(n) is block_through(*S), each block built once.
+
+    The tau-subsets are walked in lexicographic order, and block_through is
+    called only for those that no block built so far contains.
+    covered[P] is the mask of the points that extend the (tau-1)-subset P to
+    a tau-subset of some built block; it is read only for points above P's
+    last, so a block marks only its (tau-1)-subsets that miss its last point.
+    """
+    covered: dict[tuple[int, ...], int] = {}
+    blocks = []
+    for prefix in combinations(range(n), tau - 1):
+        free = ((1 << n) - (2 << prefix[-1])) & ~covered.get(prefix, 0)
+        while free:
+            block = sorted(block_through(*prefix, (free & -free).bit_length() - 1))
+            blocks.append(block)
+            line = _mask(block)
+            for sub in combinations(block[:-1], tau - 1):
+                covered[sub] = covered.get(sub, 0) | line
+            free &= ~line
+    return new_set_system(n, blocks)
 
 
 def _canon_projective(field: GF, vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -105,15 +121,16 @@ def pg_lines(n: int, q: int) -> SetSystem:
     field = gf(q)
     pts = _projective_points(field, n + 1)
     index = {pt: i for i, pt in enumerate(pts)}
-    lines: set[frozenset[int]] = set()
-    for i, j in combinations(range(len(pts)), 2):
+
+    def line_through(i: int, j: int) -> set[int]:
         p_vec, q_vec = pts[i], pts[j]
-        members = {index[_canon_projective(field, q_vec)]}
+        members = {j}  # the line is q_vec and p_vec + lam * q_vec
         for lam in range(field.q):
             members.add(index[_canon_projective(
                 field, _vec_add(field, p_vec, _vec_scale(field, lam, q_vec)))])
-        lines.add(frozenset(members))
-    return new_set_system(len(pts), [sorted(line) for line in lines])
+        return members
+
+    return _steiner_blocks(len(pts), 2, line_through)
 
 
 def ag_lines(n: int, q: int) -> SetSystem:
@@ -127,14 +144,14 @@ def ag_lines(n: int, q: int) -> SetSystem:
     field = gf(q)
     pts = sorted(product(range(q), repeat=n))
     index = {pt: i for i, pt in enumerate(pts)}
-    lines: set[frozenset[int]] = set()
-    for i, j in combinations(range(len(pts)), 2):
+
+    def line_through(i: int, j: int) -> list[int]:
         base, other = pts[i], pts[j]
         direction = tuple(field.sub(x, y) for x, y in zip(other, base))
-        members = frozenset(index[_vec_add(field, base, _vec_scale(field, lam, direction))]
-                            for lam in range(q))
-        lines.add(members)
-    return new_set_system(len(pts), [sorted(line) for line in lines])
+        return [index[_vec_add(field, base, _vec_scale(field, lam, direction))]
+                for lam in range(q)]
+
+    return _steiner_blocks(len(pts), 2, line_through)
 
 
 def _mobius_to_base(field: GF, a: int | None, b: int | None, c: int | None):
@@ -175,30 +192,19 @@ def inversive_plane(q: int) -> SetSystem:
     inf_id = field.q
     v = field.q + 1
 
-    def pt_id(z: int | None) -> int:
-        return inf_id if z is None else z
-
     def pt_of(i: int) -> int | None:
         return None if i == inf_id else i
 
-    def circle_through(ids: tuple[int, int, int]) -> frozenset[int]:
-        coeffs = _mobius_to_base(field, *(pt_of(i) for i in ids))
+    def circle_through(a: int, b: int, c: int) -> list[int]:
+        coeffs = _mobius_to_base(field, pt_of(a), pt_of(b), pt_of(c))
         members = []
         for i in range(v):
             img = _mobius_apply(field, coeffs, pt_of(i))
             if img is None or img in sub_members:
                 members.append(i)
-        return frozenset(members)
+        return members
 
-    circles: set[frozenset[int]] = set()
-    covered: set[tuple[int, int, int]] = set()
-    for triple in combinations(range(v), 3):
-        if triple in covered:
-            continue
-        circle = circle_through(triple)
-        circles.add(circle)
-        covered.update(combinations(sorted(circle), 3))
-    return new_set_system(v, [sorted(c) for c in circles])
+    return _steiner_blocks(v, 3, circle_through)
 
 
 def hermitian_unital(q: int) -> SetSystem:
@@ -212,23 +218,17 @@ def hermitian_unital(q: int) -> SetSystem:
     pts = _projective_points(field, 3)
     curve = [pt for pt in pts if not _hermitian_form(field, q, pt)]
     index = {pt: i for i, pt in enumerate(curve)}
-    # collinear[i]: the points of the sections built so far through point i.
-    collinear = [0] * len(curve)
-    blocks: set[frozenset[int]] = set()
-    for i, j in combinations(range(len(curve)), 2):
-        if collinear[i] >> j & 1:
-            continue
+
+    def section_through(i: int, j: int) -> set[int]:
         p_vec, q_vec = curve[i], curve[j]
         section = {j}  # the line is q_vec and p_vec + lam * q_vec
         for lam in range(field.q):
             pt = _canon_projective(field, _vec_add(field, p_vec, _vec_scale(field, lam, q_vec)))
             if pt in index:
                 section.add(index[pt])
-        line = _mask(section)
-        for a in section:
-            collinear[a] |= line
-        blocks.add(frozenset(section))
-    return new_set_system(len(curve), [sorted(b) for b in blocks])
+        return section
+
+    return _steiner_blocks(len(curve), 2, section_through)
 
 
 def _hermitian_form(field: GF, q: int, vec: tuple[int, ...]) -> int:
@@ -242,8 +242,7 @@ def _hermitian_form(field: GF, q: int, vec: tuple[int, ...]) -> int:
 # design extension and packing
 
 
-def extend_design(base: SetSystem, d: int, t: int,
-                  descriptor: DesignDescriptor | None = None) -> tuple[SetSystem, ExtensionCertificate]:
+def extend_design(base: SetSystem, d: int, t: int) -> tuple[SetSystem, ExtensionCertificate]:
     """Append d fresh points to every block of a suitable design.
 
     The base must be a tau-(v0, w0, 1) design with tau = ceil((w0+d)/t^2)
@@ -265,11 +264,7 @@ def extend_design(base: SetSystem, d: int, t: int,
         raise NotADesign(f"base is not a {tau}-design with index 1: {outcome.detail}")
     fresh = list(range(base.v, base.v + d))
     blocks = [list(b) + fresh for b in base.blocks]
-    extended = new_set_system(base.v + d, blocks)
-    if descriptor is None:
-        descriptor = DesignDescriptor(family="explicit", tau=tau, v=base.v, w=base.w)
-    cert = ExtensionCertificate(base=descriptor, d=d, t=t, tau=tau)
-    return extended, cert
+    return new_set_system(base.v + d, blocks), ExtensionCertificate(d=d, t=t, tau=tau)
 
 
 def design_max_strength(tau: int, w: int) -> int:

@@ -187,7 +187,7 @@ def exhaustive_optimal(p: SchemeParams, property: str,
         rec(0)
     except _SearchStop:
         complete = False
-    witness = new_set_system(p.v, best)
+    witness = new_set_system(p.v, best, width=p.w)
     return SearchResult(params=p, property=property, optimum=len(best),
                         witness_family=witness, nodes_explored=nodes,
                         complete=complete)

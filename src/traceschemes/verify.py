@@ -159,6 +159,8 @@ def verify_design(s: SetSystem, tau: int, lam: int, budget: int = DEFAULT_BUDGET
     """Holds iff every tau-subset of the ground set lies in exactly lam blocks."""
     if not 1 <= tau <= s.w:
         raise TauOutOfRange(f"tau={tau} outside [1, {s.w}]")
+    if lam < 0:
+        raise ParamsInvalid(f"index lambda={lam} must be >= 0")
     work = _Work(budget)
     try:
         counts: Counter[tuple[int, ...]] = Counter()

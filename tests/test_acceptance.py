@@ -159,6 +159,8 @@ def test_criterion_7_bounds_golden():
     ipps_text = render_bound_report(ipps_report)
     ok = ok and ts_text == (GOLDEN / "bound_2_5_21_ts.txt").read_text(encoding="utf-8")
     ok = ok and ipps_text == (GOLDEN / "bound_2_5_21_ipps.txt").read_text(encoding="utf-8")
+    cff_text = render_bound_report(bound_report(p, "cff"))
+    ok = ok and cff_text == (GOLDEN / "bound_2_5_21_cff.txt").read_text(encoding="utf-8")
     _report(7, "bounds table golden regression", ok)
 
 

@@ -1,5 +1,6 @@
 """Bound formulas against hand-evaluated values; exact arithmetic throughout."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from traceschemes import (
     ipps_upper_new,
     minimal_config_size_bound,
     own_subset_min_count,
+    render_bound_report,
     ts_exact_small,
     ts_lower_packing,
     ts_lower_trivial,
@@ -194,3 +196,28 @@ def test_all_values_are_exact_rationals():
 def test_unknown_scheme_rejected():
     with pytest.raises(ParamsInvalid):
         bound_report(SchemeParams(2, 3, 5), "frameproof")
+
+
+def test_bound_tables_are_pinned():
+    # One digest over 6,366 tables: any rewrite of the formulas must
+    # reproduce every byte of every table.
+    h = hashlib.sha256()
+    for scheme in ("ts", "ipps", "cff"):
+        for t in (2, 3, 4):
+            for w in range(t, 17):
+                for v in range(w, 60):
+                    report = bound_report(SchemeParams(t, w, v), scheme)
+                    h.update(render_bound_report(report).encode())
+    assert h.hexdigest() == "14cf9cc58adc3a7840701e6b46150d4bcbb97fa4a7a0e6a4d3890c6bc02b2927"
+
+
+def test_ts_bounds_are_cff_bounds_at_t_and_t_squared():
+    for t in (2, 3, 4):
+        for w in range(t, 17):
+            for v in range(w, 60, 5):
+                p = SchemeParams(t, w, v)
+                assert ts_upper_sw(p).value == cff_upper_eff(p).value
+                if w >= t * t:
+                    pp = SchemeParams(t * t, w, v)
+                    assert ts_upper_general(p).value == cff_upper_new(pp).value
+                assert ts_upper_special(p) == cff_upper_special(t * t, w, v)

@@ -119,6 +119,13 @@ def test_search_command(capsys):
     assert main(["search", "--property", "ts", "--t", "2", "--w", "4", "--v", "8",
                  "--budget", "100"]) == 3
     capsys.readouterr()
+    # stopped before any block is accepted: the empty family keeps its width
+    assert main(["search", "--property", "ts", "--t", "2", "--w", "3", "--v", "6",
+                 "--budget", "0"]) == 3
+    first, rest = capsys.readouterr().out.split("\n", 1)
+    assert "optimum=0 complete=no" in first
+    s = parse_set_system(rest)
+    assert (s.v, s.w, s.m) == (6, 3, 0)
 
 
 def test_trace_commands(tmp_path, capsys):
@@ -235,6 +242,15 @@ def test_usage_errors(tmp_path, capsys):
         bad.write_text(header, encoding="utf-8")
         assert main(["stats", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: line 1: bad header"), header
+    tri = _write_triples(tmp_path, 5)
+    assert main(["verify", "--property", "design", "--tau", "2", "--lambda", "-1",
+                 str(tri)]) == 2
+    assert capsys.readouterr().err.startswith("error: index lambda=-1 must be >= 0")
+    for kind in ("ts-from-cff", "ipps-own-subsets"):
+        assert main(["trace", "--kind", kind, "--t", "1", str(tri)]) == 2, kind
+        captured = capsys.readouterr()
+        assert captured.out == "", kind
+        assert captured.err.startswith("error: strength t=1 must be >= 2"), kind
 
 
 def test_non_ascii_integer_tokens_are_format_errors(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Generators: closed-form parameters, design verification, extensions, packing."""
 
+import hashlib
 from collections import Counter
 from itertools import combinations
 from math import comb
 
 import pytest
 
+from traceschemes import construct
 from traceschemes import (
     BudgetExceeded,
     CongruenceViolated,
@@ -18,6 +20,7 @@ from traceschemes import (
     hermitian_unital,
     inversive_plane,
     pg_lines,
+    render_set_system,
     trivial_ts,
     verify_design,
     verify_packing,
@@ -186,3 +189,65 @@ def test_greedy_packing_budget():
         greedy_packing_ts(40, 10, 2, budget=1000)
     with pytest.raises(ParamsInvalid):
         greedy_packing_ts(4, 5, 2)
+
+
+# sha256 of render_set_system for each design: any change to how the designs
+# are built must reproduce every byte.
+DESIGN_DIGESTS = [
+    (pg_lines, (2, 2), "b80b69218c1cc2911e7e139ee70fe5021ce10c5b24ef1ebdf11e211ef55b0975"),
+    (pg_lines, (2, 3), "a5c40999a8d33905d741bb53420e9a9730ed959417f2d59f8f0abfb7309b9adc"),
+    (pg_lines, (2, 4), "ff0c1b60c2a12b0b0a3347ef4cc6c435adc791e024a92f724f64a51859ef975a"),
+    (pg_lines, (2, 5), "a945b58aaa6564eab6a5d84a54dec948006397c81a7f33ffefe7d5db1467cdfd"),
+    (pg_lines, (2, 7), "f34f7052a83fa47f7e32cc5781d01d5706a9528f29322acc6d36caa9267f1a50"),
+    (pg_lines, (2, 8), "bd260997976f0cc5969a53a8abe658453718b0fd3d94fad8800121a4acfdf166"),
+    (pg_lines, (2, 9), "f2939f5fd24747398ea33a9f537902aa601b1a035ae929cc6bab0820e7d2c32a"),
+    (pg_lines, (3, 2), "4698b0843262c9d99cb8969341b69206b1a5b71099025fecbb641432802550d8"),
+    (pg_lines, (3, 3), "3eb6108cb2e3f5ff940d91c0260eb72bc1ca3b22e97861652fb2e8e39a6a4ae9"),
+    (pg_lines, (3, 4), "b39952669220fb9d2533e9a076a00a61ee9d5d047a92ae68dcb4c1c30c5b6ff5"),
+    (pg_lines, (4, 2), "eb75ccdf2fe1f817c4cc75079ba55e7b4bf52062fef9604f447675a9d5226e49"),
+    (ag_lines, (2, 2), "98543d872f57387c12836d2d230f2656de0b27737e162d8c36af42a34ca2a626"),
+    (ag_lines, (2, 3), "c6d3623b29f2e35ca22b54ff5985dc745368ea86d74a008e44d01018a22164c0"),
+    (ag_lines, (2, 4), "ef341f034977faebe441aa94a514ab53905a384bf9c2e4ec5172e831aa4ba81a"),
+    (ag_lines, (2, 5), "b66f23e0128d0977966ca9bc1bded4e5dfcc7fe951561138dd16ccc95995e2ff"),
+    (ag_lines, (2, 7), "bfaad0846aa0a1ad9047b1bc0aca256683938d4060c4ea1cfc7a7725731a24f7"),
+    (ag_lines, (2, 8), "f45e95b4dcf2cf527ea1782209794f55b1114cc461d2e669fcd9f5247c2f3ae1"),
+    (ag_lines, (2, 9), "3dc9068a11995d85c7426c6f9b31138f647a6f63dbb9bc6843de7acca486c4c0"),
+    (ag_lines, (3, 2), "242d7f15a6bff84002e4bb17c4489d2deb4171c76d05667f83109cf4afcc4b05"),
+    (ag_lines, (3, 3), "9dd1653f2251f1c6c340b94bb73763be6b9072592134124a38ceb38dc3e466a2"),
+    (ag_lines, (3, 4), "960bf14c5254e51ec0d34f0bae9cf9182d4746fd0b6b93b89659a80e56bd0397"),
+    (hermitian_unital, (2,), "4349468e344bbd486a3f1f866a0f7b0997131d9d89e54cbe0f79342a0d05220a"),
+    (hermitian_unital, (3,), "7b445b9798aa5e4555ae08cbdd5e5e9eb4d54de0d7f7813c34b95e7c8dbec545"),
+    (hermitian_unital, (4,), "38d98e4128f195522dba2cad62e831bdd1dd5006b9ce5539410b613ce3898c38"),
+    (hermitian_unital, (5,), "6c467dbe6083905fd1188f0ae3c4109f72785c6c0da9c66a986cab6b96dd837a"),
+    (inversive_plane, (2,), "b260d86b414f6a6bd603e1afbeb19d096a4479bbdd17314f4724955ed01d0f0d"),
+    (inversive_plane, (3,), "25cf296f72fbf5628876b49c28ec8e0435eb0f1497b99ea27d96b383fd22493a"),
+    (inversive_plane, (4,), "5850dcf79f2231e705a81edb7ad248fb2025445791dd27a778196af398f18c0e"),
+    (inversive_plane, (5,), "97aa6566d70d12a69b7c4dbc2277295475e5f085eabe23346a2f0d6ffef537a0"),
+    (inversive_plane, (7,), "13bc5180fb0f53e5b532cba4d1f3486c3cc0c19559177f06f2c29c2464be436a"),
+]
+
+
+@pytest.mark.parametrize("family,args,digest", DESIGN_DIGESTS,
+                         ids=[f"{f.__name__}{a}" for f, a, _ in DESIGN_DIGESTS])
+def test_design_output_is_pinned(family, args, digest):
+    text = render_set_system(family(*args))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family,args,tau", [
+    (pg_lines, (2, 4), 2), (pg_lines, (3, 3), 2), (ag_lines, (2, 5), 2),
+    (ag_lines, (3, 3), 2), (hermitian_unital, (3,), 2), (inversive_plane, (4,), 3),
+])
+def test_each_block_is_built_once(monkeypatch, family, args, tau):
+    calls = []
+    build = construct._steiner_blocks
+
+    def counting(n, tau_, block_through):
+        assert tau_ == tau
+        return build(n, tau_, lambda *sub: calls.append(sub) or block_through(*sub))
+
+    monkeypatch.setattr(construct, "_steiner_blocks", counting)
+    s = family(*args)
+    assert len(calls) == s.m
+    # each call comes from the least tau-subset of the block it builds
+    assert sorted(calls) == sorted(b[:tau] for b in s.blocks)

@@ -4,7 +4,7 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from traceschemes import (
@@ -512,6 +512,20 @@ def wide_systems(draw, max_v=8, max_w=5):
     blocks = draw(st.lists(st.sampled_from(pool), min_size=3, max_size=min(10, len(pool)),
                            unique=True))
     return new_set_system(v, blocks)
+
+
+@given(st.one_of(small_systems(), wide_systems()), st.integers(2, 3))
+def test_properties_survive_deleting_a_block(s, t):
+    """The colex search in ``oracle`` prunes every extension of a family
+    that fails a property; that is sound only because TS, IPPS and CFF are
+    kept by every subfamily.  (The checks reject an empty family, so a
+    single block is left alone.)"""
+    assume(s.m >= 2)
+    for verify in (verify_ts, verify_ipps, verify_cff):
+        if verify(s, t).holds:
+            for i in range(s.m):
+                rest = new_set_system(s.v, s.blocks[:i] + s.blocks[i + 1:], width=s.w)
+                assert verify(rest, t).holds, (verify.__name__, i)
 
 
 @st.composite
