@@ -4,8 +4,12 @@ executable violation-building procedures, and configuration classification.
 The search enumerates block families in colexicographic order (each family
 visited exactly once as its sorted sequence; the three properties are
 closed under removing blocks, so pruning at the first invalid extension is
-complete).  The violation builders replay the constructive arguments
-behind the strength-squared cover-free relation and the small-own-subset
+complete).  Its root takes only the first w-set: the properties are kept by
+every point permutation, which can move any block there, and a walk over
+every root would meet its first maximum family in that subtree anyway.
+
+The violation builders replay the constructive arguments behind the
+strength-squared cover-free relation and the small-own-subset
 parent-ambiguity, step by step, with every "choose any" resolved to the
 lexicographically smallest admissible object; when a step's hypothesis
 fails on the given input they return the blocking step instead of a trace.
@@ -127,15 +131,33 @@ def _cff_extension_ok(masks: list[int], pb: list[list[int]], w: int, t: int,
     return True
 
 
-def _ipps_extension_ok(masks: list[int], w: int, t: int, work: _Work) -> bool:
+def _ipps_push(unions: list[int], bits: list[int], mask: int, index: int, t: int) -> None:
+    # Append the selections of at most t blocks that hold block ``index``:
+    # the block alone, and the block with each selection of fewer than t.
+    bit = 1 << index
+    grow = [i for i in range(len(bits)) if bits[i].bit_count() < t]
+    unions.append(mask)
+    unions.extend(unions[i] | mask for i in grow)
+    bits.append(bit)
+    bits.extend(bits[i] | bit for i in grow)
+
+
+def _ipps_extension_ok(unions: list[int], bits: list[int], new: int, w: int,
+                       work: _Work) -> bool:
     # The family without the new block is an IPPS, so a w-set can become
     # ambiguous only through a cover that contains the new block.
-    return _ipps_ambiguity(masks, w, t, work, len(masks) - 1) is None
+    return _ipps_ambiguity(unions, bits, w, work, new) is None
 
 
 def exhaustive_optimal(p: SchemeParams, property: str,
                        budget: int = 2_000_000) -> SearchResult:
     """Exact maximum family size by complete colex-canonical search.
+
+    The root takes only candidate 0, {0..w-1}: the properties are kept by
+    every point permutation and S_v is transitive on w-sets, so some
+    maximum family holds it.  A walk over every root would visit that
+    subtree first and keep only strictly larger families after it, so its
+    first maximum family, the witness, is the one found here.
 
     Intended for tiny parameters (roughly v <= 9).  When the node budget
     runs out, the best family found so far is returned with
@@ -152,6 +174,11 @@ def exhaustive_optimal(p: SchemeParams, property: str,
     # pb[q] lists the family's blocks through point q, ascending, as the
     # cover kernels expect; it is kept up to date as blocks come and go.
     pb: list[list[int]] = [[] for _ in range(p.v)]
+    # unions and bits list each selection of 1..t blocks of the family for
+    # the IPPS check: a push appends those that hold the new block, a pop
+    # truncates them away.
+    unions: list[int] = []
+    bits: list[int] = []
     work = _Work(sys.maxsize)  # the node budget bounds the search instead
     nodes = 0
     complete = True
@@ -161,30 +188,35 @@ def exhaustive_optimal(p: SchemeParams, property: str,
             return _ts_extension_ok(masks, p.w, p.t, work)
         if property == "cff":
             return _cff_extension_ok(masks, pb, p.w, p.t, work)
-        return _ipps_extension_ok(masks, p.w, p.t, work)
+        return _ipps_extension_ok(unions, bits, len(masks) - 1, p.w, work)
 
-    def rec(start: int) -> None:
+    def rec(start: int, stop: int) -> None:
         nonlocal nodes, best
-        for ci in range(start, n):
+        for ci in range(start, stop):
             nodes += 1
             if nodes > budget:
                 raise _SearchStop
             index = len(masks)
-            masks.append(cand_masks[ci])
+            mask = cand_masks[ci]
+            masks.append(mask)
             family.append(candidates[ci])
             for q in candidates[ci]:
                 pb[q].append(index)
+            size = len(unions)
+            if property == "ipps":
+                _ipps_push(unions, bits, mask, index, p.t)
             if extension_ok():
                 if len(family) > len(best):
                     best = family.copy()
-                rec(ci + 1)
+                rec(ci + 1, n)
+            del unions[size:], bits[size:]
             for q in candidates[ci]:
                 pb[q].pop()
             masks.pop()
             family.pop()
 
     try:
-        rec(0)
+        rec(0, 1)  # the root takes candidate 0 only, as argued above
     except _SearchStop:
         complete = False
     witness = new_set_system(p.v, best, width=p.w)

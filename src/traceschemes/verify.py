@@ -261,8 +261,6 @@ def verify_cff(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOutc
     """Holds iff no block is contained in the union of at most t others."""
     if t < 1:
         raise ParamsInvalid(f"strength t={t} must be >= 1")
-    if s.m < 1:
-        raise ParamsInvalid("cover-free check needs at least one block")
     work = _Work(budget)
     pb = _point_blocks(s)
     limit = min(t, s.m - 1)
@@ -545,25 +543,13 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
 # parent-identifying set systems
 
 
-def _ipps_ambiguity(masks, w: int, t: int, work: _Work, required: int = -1):
-    """Lexicographically first ambiguous w-set and the block bits of its covers.
+def _ipps_selections(masks, t: int, work: _Work) -> tuple[list[int], list[int]]:
+    """Union and block bits of each selection of 1..min(t, m) blocks.
 
-    A point set is ambiguous when some selection of at most t blocks covers
-    it and the selections that cover it share no block.  A cover of a set
-    covers each of its subsets, so the subsets of an ambiguous set are
-    ambiguous: a depth-first walk over points in ascending order that
-    extends only ambiguous prefixes meets every ambiguous w-set, the
-    lexicographically first one first.  Each selection of 1..min(t, m)
-    blocks is listed once as (union, block bits), and a prefix carries the
-    selections that cover it.  With ``required`` >= 0 a set counts only if
-    some cover holds block ``required``, which again passes to subsets.
-    Returns None when there is no such set.  One work unit per
-    selection listed and per selection examined, so the budget also bounds
-    memory.
+    Selections come by size, each size in lexicographic order.  One work
+    unit per selection, so the budget also bounds memory.
     """
     m = len(masks)
-    if m < 2:
-        return None  # one block is a common parent of all it covers
     work.tick(sum(comb(m, k) for k in range(1, min(t, m) + 1)))
     level = [(masks[i], 1 << i, i) for i in range(m)]
     unions, bits = list(masks), [b for _, b, _ in level]
@@ -571,6 +557,25 @@ def _ipps_ambiguity(masks, w: int, t: int, work: _Work, required: int = -1):
         level = [(u | masks[j], b | 1 << j, j) for u, b, i in level for j in range(i + 1, m)]
         unions += [u for u, _, _ in level]
         bits += [b for _, b, _ in level]
+    return unions, bits
+
+
+def _ipps_ambiguity(unions: list[int], bits: list[int], w: int, work: _Work,
+                    required: int = -1):
+    """Lexicographically first ambiguous w-set and the block bits of its covers.
+
+    ``unions`` and ``bits`` list the selections of at most t blocks, in any
+    order, as from :func:`_ipps_selections`.  A point set is ambiguous when
+    some selection covers it and the selections that cover it share no
+    block.  A cover of a set covers each of its subsets, so the subsets of
+    an ambiguous set are ambiguous: a depth-first walk over points in
+    ascending order that extends only ambiguous prefixes meets every
+    ambiguous w-set, the lexicographically first one first.  A prefix
+    carries the selections that cover it.  With ``required`` >= 0 a set
+    counts only if some cover holds block ``required``, which again passes
+    to subsets.  Returns None when there is no such set.  One work unit per
+    selection examined.
+    """
     prefix: list[int] = []
     nodes = 0
     room = work.budget - work.count
@@ -619,9 +624,11 @@ def verify_ipps(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOut
     """
     if t < 1:
         raise ParamsInvalid(f"strength t={t} must be >= 1")
+    if s.m < 2:  # one block is a common parent of all it covers
+        return VerifyOutcome(HOLDS, EXHAUSTIVE, work=0)
     work = _Work(budget)
     try:
-        found = _ipps_ambiguity(s.masks, s.w, t, work)
+        found = _ipps_ambiguity(*_ipps_selections(s.masks, t, work), s.w, work)
     except _BudgetStop:
         return VerifyOutcome(INCONCLUSIVE, EXHAUSTIVE, detail=BUDGET_EXCEEDED, work=work.count)
     if found is None:

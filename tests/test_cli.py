@@ -128,6 +128,16 @@ def test_search_command(capsys):
     assert (s.v, s.w, s.m) == (6, 3, 0)
 
 
+def test_empty_search_family_is_cover_free(tmp_path, capsys):
+    # A family with no blocks has every property, CFF included.
+    assert main(["search", "--property", "cff", "--t", "2", "--w", "3", "--v", "6",
+                 "--budget", "0"]) == 3
+    path = tmp_path / "empty.ss"
+    path.write_text(capsys.readouterr().out.split("\n", 1)[1], encoding="utf-8")
+    assert main(["verify", "--property", "cff", "--t", "2", str(path)]) == 0
+    assert "verdict=holds work=0" in capsys.readouterr().out
+
+
 def test_trace_commands(tmp_path, capsys):
     tri6 = _write_triples(tmp_path, 6)
     assert main(["trace", "--kind", "ts-from-cff", "--t", "2", str(tri6)]) == 0

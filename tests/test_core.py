@@ -3,6 +3,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traceschemes import (
     DuplicateBlock,
@@ -16,6 +18,7 @@ from traceschemes import (
     enumerate_own_subsets,
     new_set_system,
     parse_set_system,
+    parse_witness,
     pg_lines,
     render_set_system,
     trivial_ts,
@@ -171,3 +174,39 @@ def test_render_is_canonical_under_input_order():
     a = new_set_system(6, [[3, 4, 5], [0, 1, 2]])
     b = new_set_system(6, [[0, 1, 2], [3, 4, 5]])
     assert render_set_system(a) == render_set_system(b)
+
+
+@st.composite
+def text_systems(draw):
+    """Any uniform system on at most nine points, the empty family included."""
+    v = draw(st.integers(1, 9))
+    w = draw(st.integers(1, v))
+    pool = list(combinations(range(v), w))
+    blocks = draw(st.lists(st.sampled_from(pool), max_size=12, unique=True))
+    return new_set_system(v, blocks, width=w)
+
+
+@given(text_systems())
+def test_random_systems_survive_render_parse(s):
+    assert parse_set_system(render_set_system(s)) == s
+
+
+# Pieces of headers, witness lines and near misses: signs, non-ASCII digits
+# and whitespace that str.split treats as a separator.
+TEXT_TOKENS = ["setsystem", "witness", "v=", "w=", "m=", "=", "-", "0", "1", "2", "3", "12",
+               "\u00b2", "\u0663", "x", "#", " ", "  ", "\t", "\n", "\r\n", "\x0c", "\u00a0",
+               "cff-cover", "ts-evasion", "ipps-ambiguity", "strength", "target", "cover",
+               "coalition", "pirate", "outsider", "parent"]
+TEXT_HEADS = ["", "setsystem v=5 w=2 m=2\n", "witness cff-cover\n", "witness ts-evasion\n",
+              "witness ipps-ambiguity\n"]
+
+
+@settings(max_examples=1000)
+@given(st.sampled_from(TEXT_HEADS),
+       st.lists(st.sampled_from(TEXT_TOKENS), max_size=60).map("".join))
+def test_parsers_raise_only_scheme_errors(head, body):
+    for parse in (parse_set_system, parse_witness):
+        try:
+            parse(head + body)
+        except SchemeError:
+            pass

@@ -4,7 +4,7 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from traceschemes import (
@@ -33,9 +33,11 @@ from traceschemes import (
     verify_ts,
 )
 from traceschemes.core import FormatError, _ceil_div, _points, _union
+from traceschemes.oracle import _ipps_push
 from traceschemes.verify import (
     _BudgetStop,
     _ipps_ambiguity,
+    _ipps_selections,
     _overlaps,
     _ts_evader,
     _ts_packs,
@@ -417,6 +419,20 @@ def test_witness_render_parse_round_trip():
         assert parse_witness(render_witness(wit)) == wit
 
 
+indices = st.integers(0, 10**6)
+index_tuples = st.lists(indices, min_size=1, max_size=8).map(tuple)
+
+
+@given(st.one_of(
+    st.builds(CffCover, target=indices, cover=index_tuples, strength=st.integers(1, 9)),
+    st.builds(TsEvasion, coalition=index_tuples, pirate=index_tuples, outsider=indices),
+    st.builds(IppsAmbiguity, pirate=index_tuples,
+              parents=st.lists(index_tuples, min_size=1, max_size=5).map(tuple),
+              strength=st.integers(1, 9))))
+def test_random_witnesses_survive_render_parse(wit):
+    assert parse_witness(render_witness(wit)) == wit
+
+
 @pytest.mark.parametrize("text", [
     "not a witness\n",
     "witness ts-evasion\ncoalition 0 1\npirate 0 2 3\n",       # missing outsider
@@ -518,9 +534,7 @@ def wide_systems(draw, max_v=8, max_w=5):
 def test_properties_survive_deleting_a_block(s, t):
     """The colex search in ``oracle`` prunes every extension of a family
     that fails a property; that is sound only because TS, IPPS and CFF are
-    kept by every subfamily.  (The checks reject an empty family, so a
-    single block is left alone.)"""
-    assume(s.m >= 2)
+    kept by every subfamily."""
     for verify in (verify_ts, verify_ipps, verify_cff):
         if verify(s, t).holds:
             for i in range(s.m):
@@ -751,12 +765,31 @@ def test_ipps_witness_subsets_are_ambiguous(s, t):
         assert list(out.witness.parents) == minimal
 
 
+@given(wide_systems(), st.integers(1, 3))
+def test_ipps_selections_are_every_small_selection(s, t):
+    # Listed at once for verify, or pushed block by block as in the search.
+    literal = sorted((_union(s.masks, c), sum(1 << i for i in c))
+                     for k in range(1, t + 1) for c in combinations(range(s.m), k))
+    unions, bits = _ipps_selections(s.masks, t, _Work(10**9))
+    assert sorted(zip(unions, bits)) == literal
+    unions, bits = [], []
+    for i, mask in enumerate(s.masks):
+        _ipps_push(unions, bits, mask, i, t)
+    assert sorted(zip(unions, bits)) == literal
+
+
 @given(wide_systems(), st.integers(1, 3), st.data())
 def test_ipps_kernel_with_a_required_block(s, t, data):
     # The search asks for the first ambiguous w-set that some cover holding
-    # the new block covers; here any block may be the required one.
+    # the new block covers; here any block may be the required one.  The
+    # search lists the selections in the order the blocks came, so any
+    # order must do.
     required = data.draw(st.integers(0, s.m - 1))
-    found = _ipps_ambiguity(s.masks, s.w, t, _Work(10**9), required)
+    work = _Work(10**9)
+    unions, bits = _ipps_selections(s.masks, t, work)
+    order = data.draw(st.permutations(range(len(unions))))
+    found = _ipps_ambiguity([unions[i] for i in order], [bits[i] for i in order], s.w, work,
+                            required)
     first = None
     for tpts in combinations(range(s.v), s.w):
         covers = brute_covers(s, t, tpts)
@@ -814,20 +847,28 @@ def test_cff_kernel_matches_definition(s, t):
         assert check_witness(s, out.witness)[0]
 
 
-def brute_optimum(p, holds):
-    """Largest family of w-subsets with the property, over all subfamilies.
+def colex_pool(p):
+    """The w-subsets of range(v) in colexicographic order, as the search takes them."""
+    return sorted(combinations(range(p.v), p.w), key=lambda c: c[::-1])
+
+
+def brute_first_maximum(p, holds):
+    """First largest family of w-subsets with the property, over all subfamilies.
 
     The properties survive deleting blocks, so every valid family of k + 1
     blocks is a valid family of k blocks plus one block of larger index;
-    growing the valid families level by level therefore misses none.
+    growing the valid families level by level therefore misses none.  Each
+    level lists its families as ascending index tuples in lexicographic
+    order, the order in which the search's depth-first walk meets them, so
+    the first family of the last non-empty level is the one the search keeps.
     """
-    pool = list(combinations(range(p.v), p.w))
-    best, level = 0, [()]
+    pool = colex_pool(p)
+    first, level = (), [()]
     while level:
-        best = len(level[0])
+        first = level[0]
         level = [fam + (i,) for fam in level for i in range(fam[-1] + 1 if fam else 0, len(pool))
                  if holds(new_set_system(p.v, [pool[j] for j in fam + (i,)]), p.t)]
-    return best
+    return tuple(sorted(pool[j] for j in first))
 
 
 BRUTE = {"ts": brute_ts, "ipps": brute_ipps, "cff": brute_cff}
@@ -839,5 +880,68 @@ BRUTE = {"ts": brute_ts, "ipps": brute_ipps, "cff": brute_cff}
 def test_search_optimum_matches_brute_force(prop, t, w, v):
     p = SchemeParams(t, w, v)
     result = exhaustive_optimal(p, prop)
+    first = brute_first_maximum(p, BRUTE[prop])
     assert result.complete
-    assert result.optimum == brute_optimum(p, BRUTE[prop])
+    assert result.optimum == len(first)
+    assert result.witness_family.blocks == first
+
+
+def test_search_completes_cff_on_eight_points():
+    # Over every root this search stopped at its 2M-node default budget.
+    result = exhaustive_optimal(SchemeParams(2, 3, 8), "cff")
+    assert result.complete
+    assert result.optimum == 8
+    assert verify_cff(result.witness_family, 2).holds
+
+
+class _WalkStop(Exception):
+    pass
+
+
+def colex_walk(p, holds, limit):
+    """The colex search over every root, literally, for at most ``limit`` nodes.
+
+    A node tries one more block; the walk keeps a family that holds and
+    grows it with later blocks.  Returns the best family after each node
+    (only strictly larger families replace it) and whether the walk ended
+    within ``limit`` nodes.
+    """
+    pool = colex_pool(p)
+    best, after = (), []
+
+    def rec(fam, start):
+        nonlocal best
+        for i in range(start, len(pool)):
+            if len(after) == limit:
+                raise _WalkStop
+            ext = fam + (pool[i],)
+            ok = holds(new_set_system(p.v, ext), p.t)
+            if ok and len(ext) > len(best):
+                best = ext
+            after.append(best)
+            if ok:
+                rec(ext, i + 1)
+
+    try:
+        rec((), 0)
+    except _WalkStop:
+        return after, False
+    return after, True
+
+
+def test_search_root_restriction_matches_walk_over_every_root():
+    # The root-fixed search is a prefix of the walk over every root: under
+    # any budget it reports what that walk reports, except that it
+    # completes, with the same family, once candidate 0's subtree (4,569
+    # nodes) is done.
+    p = SchemeParams(2, 4, 8)
+    budgets = [*range(301), 4568, 4569, 4570]
+    after, ended = colex_walk(p, brute_ts, max(budgets) + 1)
+    assert not ended
+    for budget in budgets:
+        result = exhaustive_optimal(p, "ts", budget=budget)
+        fam = after[budget - 1] if budget else ()
+        assert result.optimum == len(fam), budget
+        assert result.witness_family.blocks == tuple(sorted(fam)), budget
+        assert result.complete == (budget >= 4569), budget
+        assert result.nodes_explored == min(budget + 1, 4569), budget
