@@ -199,7 +199,7 @@ def _cmd_stats(args) -> int:
     print(f"stats v={system.v} w={system.w} m={system.m}")
     if system.m >= 2:
         lo, hi = system.w, 0  # a block missing some other block makes the minimum 0
-        for counts in verify_mod._overlaps(system, verify_mod._Work(float("inf"))):
+        for counts in verify_mod._overlaps(system, verify_mod._Work()):
             hi = max(hi, max(counts.values(), default=0))
             lo = min(lo, min(counts.values())) if len(counts) == system.m - 1 else 0
         print(f"pair-intersections min={lo} max={hi}")

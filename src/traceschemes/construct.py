@@ -18,7 +18,17 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, isqrt
 
-from .core import BudgetExceeded, ParamsInvalid, SetSystem, _ceil_div, _mask, new_set_system
+from .core import (
+    BudgetExceeded,
+    ParamsInvalid,
+    SetSystem,
+    _ceil_div,
+    _check_ground_set,
+    _colex_masks,
+    _mask,
+    _points,
+    new_set_system,
+)
 from .gf import GF, gf
 from .verify import verify_design
 
@@ -274,16 +284,6 @@ def design_max_strength(tau: int, w: int) -> int:
     return isqrt((w - 1) // (tau - 1))
 
 
-def _colex_subsets(v: int, k: int):
-    """Ascending k-tuples from range(v) in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for top in range(k - 1, v):
-        for rest in _colex_subsets(top, k - 1):
-            yield rest + (top,)
-
-
 def greedy_packing_ts(v: int, w: int, t: int, budget: int = 10_000_000) -> SetSystem:
     """Maximal ceil(w/t^2)-packing grown greedily in colex order.
 
@@ -294,14 +294,12 @@ def greedy_packing_ts(v: int, w: int, t: int, budget: int = 10_000_000) -> SetSy
     """
     if not v >= w >= t >= 2:
         raise ParamsInvalid(f"need v >= w >= t >= 2, got v={v} w={w} t={t}")
+    _check_ground_set(v)  # before the walk, which is long for a large v
     if comb(v, w) > budget:
         raise BudgetExceeded(f"C({v},{w}) = {comb(v, w)} exceeds budget {budget}")
     tau = _ceil_div(w, t * t)
-    kept_masks: list[int] = []
-    kept: list[tuple[int, ...]] = []
-    for cand in _colex_subsets(v, w):
-        m = _mask(cand)
-        if all((m & km).bit_count() < tau for km in kept_masks):
-            kept.append(cand)
-            kept_masks.append(m)
-    return new_set_system(v, kept)
+    kept: list[int] = []
+    for m in _colex_masks(v, w):
+        if all((m & km).bit_count() < tau for km in kept):
+            kept.append(m)
+    return new_set_system(v, [_points(m) for m in kept])

@@ -4,13 +4,18 @@ A set system is a ground set {0, ..., v-1} together with a collection of
 distinct w-subsets (blocks).  Everything downstream (verifiers, bounds,
 constructions, searches) consumes the ``SetSystem`` built here.  Blocks are
 kept in canonical lexicographic order so all outputs are reproducible.
+
+The bitmask primitives shared by the other modules live here too: a point
+set is an int with bit p set for point p, the k-subsets of a ground set are
+generated as masks in colex order one at a time, and own-subsets are
+generated lazily, so a caller that needs only the first pays only for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAX_GROUND_SET = 4096
 
@@ -71,6 +76,20 @@ def _points(mask: int) -> list[int]:
     return pts
 
 
+def _colex_masks(v: int, k: int) -> Iterator[int]:
+    """The k-subsets of range(v) as masks, in colexicographic order (k >= 1).
+
+    Colex order is numeric order of the masks.  Each mask is the next larger
+    one with k bits set, Gosper's successor of the last (HAKMEM item 175).
+    """
+    mask, top = (1 << k) - 1, 1 << v
+    while mask < top:
+        yield mask
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | ((ripple ^ mask) >> 2) // low
+
+
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -109,6 +128,13 @@ class SetSystem:
         return _union(self.masks, indices)
 
 
+def _check_ground_set(v: int) -> None:
+    if not isinstance(v, int) or v < 0:
+        raise ParamsInvalid(f"ground set size must be a nonnegative integer, got {v!r}")
+    if v > MAX_GROUND_SET:
+        raise ParamsInvalid(f"ground set size {v} exceeds cap {MAX_GROUND_SET}")
+
+
 def new_set_system(v: int, blocks: Sequence[Sequence[int]], width: int | None = None) -> SetSystem:
     """Validate and canonicalize a set system.
 
@@ -116,10 +142,7 @@ def new_set_system(v: int, blocks: Sequence[Sequence[int]], width: int | None = 
     ascending sequence of in-range points, all of one width.  ``width`` is
     only consulted when ``blocks`` is empty.
     """
-    if not isinstance(v, int) or v < 0:
-        raise ParamsInvalid(f"ground set size must be a nonnegative integer, got {v!r}")
-    if v > MAX_GROUND_SET:
-        raise ParamsInvalid(f"ground set size {v} exceeds cap {MAX_GROUND_SET}")
+    _check_ground_set(v)
     canon: list[tuple[int, ...]] = []
     for raw in blocks:
         b = tuple(raw)
@@ -169,24 +192,27 @@ class OwnSubsetReport:
     count: int
 
 
+def _own_subsets(s: SetSystem, block_index: int, tau: int) -> Iterator[tuple[int, ...]]:
+    """Each tau-subset of the given block lying in no other block, in lexicographic order."""
+    # Only blocks meeting this one in >= tau points can absorb a tau-subset.
+    mask = s.masks[block_index]
+    rivals = [m for i, m in enumerate(s.masks)
+              if i != block_index and (m & mask).bit_count() >= tau]
+    for sub in combinations(s.blocks[block_index], tau):
+        sm = _mask(sub)
+        if all(sm & r != sm for r in rivals):
+            yield sub
+
+
 def enumerate_own_subsets(s: SetSystem, block_index: int, tau: int) -> OwnSubsetReport:
     """List every tau-subset of the given block lying in no other block."""
     if not 0 <= block_index < s.m:
         raise PointOutOfRange(f"block index {block_index} outside [0, {s.m})")
     if not 1 <= tau <= s.w:
         raise TauOutOfRange(f"tau={tau} outside [1, {s.w}]")
-    block = s.blocks[block_index]
-    # Only blocks meeting this one in >= tau points can absorb a tau-subset.
-    mask = s.masks[block_index]
-    rivals = [m for i, m in enumerate(s.masks)
-              if i != block_index and (m & mask).bit_count() >= tau]
-    own = []
-    for sub in combinations(block, tau):
-        sm = _mask(sub)
-        if all(sm & r != sm for r in rivals):
-            own.append(sub)
+    own = tuple(_own_subsets(s, block_index, tau))
     return OwnSubsetReport(block_index=block_index, size=tau,
-                           own_subsets=tuple(own), count=len(own))
+                           own_subsets=own, count=len(own))
 
 
 def render_set_system(s: SetSystem) -> str:

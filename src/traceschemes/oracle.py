@@ -7,37 +7,42 @@ closed under removing blocks, so pruning at the first invalid extension is
 complete).  Its root takes only the first w-set: the properties are kept by
 every point permutation, which can move any block there, and a walk over
 every root would meet its first maximum family in that subtree anyway.
+The candidate w-sets come as masks in colex order, and only as many are
+taken as the node budget can reach, so the budget bounds memory too.
 
 The violation builders replay the constructive arguments behind the
 strength-squared cover-free relation and the small-own-subset
 parent-ambiguity, step by step, with every "choose any" resolved to the
 lexicographically smallest admissible object; when a step's hypothesis
 fails on the given input they return the blocking step instead of a trace.
+Each smallest object is computed directly, not found by scanning a list of
+candidates: the own-subset precondition stops at the first own subset, and
+a linking set is read off the points left in its block.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .bounds import bound_report, minimal_config_size_bound
-from .construct import _colex_subsets
 from .core import (
     ParamsInvalid,
     SchemeError,
     SchemeParams,
     SetSystem,
     _ceil_div,
+    _colex_masks,
     _mask,
+    _own_subsets,
     _points,
-    enumerate_own_subsets,
     new_set_system,
 )
 from .verify import (
     CffCover,
     IppsAmbiguity,
     TsEvasion,
+    _BudgetStop,
     _find_cover,
     _ipps_ambiguity,
     _point_blocks,
@@ -91,10 +96,6 @@ class ProofTraceIpps:
     ambiguity: IppsAmbiguity
 
 
-class _SearchStop(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # exhaustive optimum search
 
@@ -142,13 +143,6 @@ def _ipps_push(unions: list[int], bits: list[int], mask: int, index: int, t: int
     bits.extend(bits[i] | bit for i in grow)
 
 
-def _ipps_extension_ok(unions: list[int], bits: list[int], new: int, w: int,
-                       work: _Work) -> bool:
-    # The family without the new block is an IPPS, so a w-set can become
-    # ambiguous only through a cover that contains the new block.
-    return _ipps_ambiguity(unions, bits, w, work, new) is None
-
-
 def exhaustive_optimal(p: SchemeParams, property: str,
                        budget: int = 2_000_000) -> SearchResult:
     """Exact maximum family size by complete colex-canonical search.
@@ -161,15 +155,19 @@ def exhaustive_optimal(p: SchemeParams, property: str,
 
     Intended for tiny parameters (roughly v <= 9).  When the node budget
     runs out, the best family found so far is returned with
-    ``complete=False`` and is only a lower bound.
+    ``complete=False`` and is only a lower bound.  Only the first
+    ``budget + 1`` candidate w-sets are generated, since no node within
+    the budget reaches a later one.
     """
     if property not in PROPERTIES:
         raise ParamsInvalid(f"property must be one of {PROPERTIES}, got {property!r}")
-    candidates = list(_colex_subsets(p.v, p.w))
-    cand_masks = [_mask(c) for c in candidates]
+    # Candidate c is tried only after at least c + 1 nodes (the loop indices
+    # rise along the path from the root), so no index above the budget is
+    # reached; index ``budget`` is kept so that the stop falls on that node.
+    cand_masks = list(islice(_colex_masks(p.v, p.w), budget + 1))
+    candidates = [_points(m) for m in cand_masks]
     n = len(candidates)
-    best: list[tuple[int, ...]] = []
-    family: list[tuple[int, ...]] = []
+    best: list[int] = []
     masks: list[int] = []
     # pb[q] lists the family's blocks through point q, ascending, as the
     # cover kernels expect; it is kept up to date as blocks come and go.
@@ -179,49 +177,47 @@ def exhaustive_optimal(p: SchemeParams, property: str,
     # truncates them away.
     unions: list[int] = []
     bits: list[int] = []
-    work = _Work(sys.maxsize)  # the node budget bounds the search instead
-    nodes = 0
-    complete = True
+    nodes = _Work(budget)
+    work = _Work()  # the node budget bounds the search instead
 
     def extension_ok() -> bool:
         if property == "ts":
             return _ts_extension_ok(masks, p.w, p.t, work)
         if property == "cff":
             return _cff_extension_ok(masks, pb, p.w, p.t, work)
-        return _ipps_extension_ok(unions, bits, len(masks) - 1, p.w, work)
+        # The family without the new block is an IPPS, so a w-set can become
+        # ambiguous only through a cover that holds the new block.
+        return _ipps_ambiguity(unions, bits, p.w, work, len(masks) - 1) is None
 
     def rec(start: int, stop: int) -> None:
-        nonlocal nodes, best
+        nonlocal best
         for ci in range(start, stop):
-            nodes += 1
-            if nodes > budget:
-                raise _SearchStop
+            nodes.tick()
             index = len(masks)
             mask = cand_masks[ci]
             masks.append(mask)
-            family.append(candidates[ci])
             for q in candidates[ci]:
                 pb[q].append(index)
             size = len(unions)
             if property == "ipps":
                 _ipps_push(unions, bits, mask, index, p.t)
             if extension_ok():
-                if len(family) > len(best):
-                    best = family.copy()
+                if len(masks) > len(best):
+                    best = masks.copy()
                 rec(ci + 1, n)
             del unions[size:], bits[size:]
             for q in candidates[ci]:
                 pb[q].pop()
             masks.pop()
-            family.pop()
 
+    complete = True
     try:
         rec(0, 1)  # the root takes candidate 0 only, as argued above
-    except _SearchStop:
+    except _BudgetStop:
         complete = False
-    witness = new_set_system(p.v, best, width=p.w)
+    witness = new_set_system(p.v, [_points(m) for m in best], width=p.w)
     return SearchResult(params=p, property=property, optimum=len(best),
-                        witness_family=witness, nodes_explored=nodes,
+                        witness_family=witness, nodes_explored=nodes.count,
                         complete=complete)
 
 
@@ -337,11 +333,11 @@ def ipps_violation_from_missing_own_subsets(s: SetSystem,
     hu = _ceil_div(t, 2)
     hd = t // 2
     for i in range(s.m):
-        if enumerate_own_subsets(s, i, k).count:
+        if next(_own_subsets(s, i, k), None) is not None:
             return TraceBlocked(step="precondition",
                                 detail=f"block {i} has a {k}-own-subset")
     pb = _point_blocks(s)
-    work = _Work(sys.maxsize)  # at most t cover searches with at most t blocks each
+    work = _Work()  # at most t cover searches with at most t blocks each
 
     selected = [0]
     a_sets: list[tuple[int, ...]] = []
@@ -362,23 +358,20 @@ def ipps_violation_from_missing_own_subsets(s: SetSystem,
         if cov is None:
             return TraceBlocked(step=f"C{i}-cover",
                                 detail=f"overlap chunk of block {bi} has no small cover")
-        pool2 = [p for p in pool if not (am >> p & 1)]
+        pool2 = pool[size_a:]
         if len(pool2) < k:
             return TraceBlocked(step=f"D{i}-size",
                                 detail=f"only {len(pool2)} points free for the linking set")
+        # D_i is the lexicographically first k-subset of pool2 with a point
+        # outside the blocks selected before B_i: pool2's first k points if
+        # one of them is outside, else its first k-1 and first outside point.
         prev_union = s.union_mask(selected[:i - 1])
-        d_i: tuple[int, ...] | None = None
-        if i == 1:
-            d_i = tuple(pool2[:k])
-        else:
-            for cand in combinations(pool2, k):
-                if _mask(cand) & ~prev_union:
-                    d_i = cand
-                    break
-            if d_i is None:
-                return TraceBlocked(step=f"D{i}-choice",
-                                    detail="every linking candidate lies inside "
-                                           "previously selected blocks")
+        out = next((p for p in pool2 if not prev_union >> p & 1), None)
+        if out is None:
+            return TraceBlocked(step=f"D{i}-choice",
+                                detail="every linking candidate lies inside "
+                                       "previously selected blocks")
+        d_i = tuple(pool2[:k]) if out <= pool2[k - 1] else (*pool2[:k - 1], out)
         dm = _mask(d_i)
         nxt = next((b for b in range(s.m)
                     if b not in selected and s.masks[b] & dm == dm), None)

@@ -18,6 +18,7 @@ independent of any verifier state.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -110,7 +111,7 @@ class _BudgetStop(Exception):
 
 
 class _Work:
-    """Work done so far and its cap.
+    """Work done so far and its cap, by default none.
 
     Hot loops count in a local against ``budget - count`` and add the total
     when they end: a :meth:`tick` call per step would cost more than the step.
@@ -118,7 +119,7 @@ class _Work:
 
     __slots__ = ("count", "budget")
 
-    def __init__(self, budget: int) -> None:
+    def __init__(self, budget: int = sys.maxsize) -> None:
         self.count = 0
         self.budget = budget
 
@@ -574,46 +575,48 @@ def _ipps_ambiguity(unions: list[int], bits: list[int], w: int, work: _Work,
     carries the selections that cover it.  With ``required`` >= 0 a set
     counts only if some cover holds block ``required``, which again passes
     to subsets.  Returns None when there is no such set.  One work unit per
-    selection examined.
+    selection examined.  The walk is a loop over an explicit stack, so a
+    prefix of thousands of points does not meet the recursion limit.
     """
+    def cover_pool(unions: list[int], bits: list[int]) -> int:
+        if required < 0:
+            return reduce(or_, unions)
+        return reduce(or_, compress(unions, map(and_, bits, repeat(1 << required))), 0)
+
     prefix: list[int] = []
+    stack = []  # the selections and the untried points of each shorter prefix
     nodes = 0
     room = work.budget - work.count
-
-    def walk(unions: list[int], bits: list[int], below: int) -> list[int] | None:
-        # The selections covering the prefix share no block; try each point
-        # some of them cover, above the prefix's last point (the mask below).
-        nonlocal nodes
-        if required < 0:
-            pool = reduce(or_, unions)
-        else:
-            pool = reduce(or_, compress(unions, map(and_, bits, repeat(1 << required))), 0)
-        pool &= ~below
-        size = len(unions)
-        while pool:
-            bit = pool & -pool
-            pool ^= bit
-            nodes += size
-            if nodes > room:
-                raise _BudgetStop
-            keep = list(map(and_, unions, repeat(bit)))
-            covers = list(compress(bits, keep))
-            if reduce(and_, covers):
-                continue
-            prefix.append(bit.bit_length() - 1)
-            if len(prefix) == w:
-                return covers
-            found = walk(list(compress(unions, keep)), covers, (bit << 1) - 1)
-            if found is not None:
-                return found
-            prefix.pop()
-        return None
-
+    pool = cover_pool(unions, bits)
     try:
-        covers = walk(unions, bits, 0)
+        while True:
+            # The selections covering the prefix share no block; try each
+            # point some of them cover, above the prefix's last point.
+            size = len(unions)
+            while pool:
+                bit = pool & -pool
+                pool ^= bit
+                nodes += size
+                if nodes > room:
+                    raise _BudgetStop
+                keep = list(map(and_, unions, repeat(bit)))
+                covers = list(compress(bits, keep))
+                if reduce(and_, covers):
+                    continue
+                prefix.append(bit.bit_length() - 1)
+                if len(prefix) == w:
+                    return tuple(prefix), covers
+                stack.append((unions, bits, pool))
+                unions, bits = list(compress(unions, keep)), covers
+                pool = cover_pool(unions, bits) & ~((bit << 1) - 1)
+                break
+            else:
+                if not stack:
+                    return None
+                unions, bits, pool = stack.pop()
+                prefix.pop()
     finally:
         work.count += nodes
-    return None if covers is None else (tuple(prefix), covers)
 
 
 def verify_ipps(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOutcome:

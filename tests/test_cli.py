@@ -309,3 +309,38 @@ def test_negative_budget_is_usage_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("error: --budget must be >= 0"), argv
         assert captured.out == ""
+
+
+def test_wide_inputs_end_without_internal_error(tmp_path, capsys):
+    # A 1000-point block: the candidate blocks come one mask at a time.
+    assert main(["search", "--property", "ts", "--t", "2", "--w", "1000", "--v", "1001",
+                 "--budget", "50"]) == 3
+    captured = capsys.readouterr()
+    first, rest = captured.out.split("\n", 1)
+    assert first.endswith("optimum=2 complete=no nodes=51")
+    assert parse_set_system(rest).m == 2
+    assert captured.err == ""
+    # The IPPS walk is 1,500 points deep on these three blocks.
+    three = tmp_path / "three.ss"
+    three.write_text(render_set_system(new_set_system(
+        1501, [range(1500), [*range(1499), 1500], range(1, 1501)])), encoding="utf-8")
+    assert main(["verify", "--property", "ipps", "--t", "2", str(three)]) == 1
+    captured = capsys.readouterr()
+    first, rest = captured.out.split("\n", 1)
+    assert first == "verify property=ipps t=2 mode=exhaustive verdict=violated work=7507"
+    assert "internal error" not in captured.err
+    wit = tmp_path / "three.wit"
+    wit.write_text(rest, encoding="utf-8")
+    assert main(["check-witness", str(three), str(wit)]) == 0
+    assert capsys.readouterr().out == "witness valid: ambiguity verified\n"
+    trivial = tmp_path / "trivial.ss"
+    assert main(["construct", "--family", "trivial", "--v", "1510", "--w", "1500",
+                 "-o", str(trivial)]) == 0
+    assert main(["verify", "--property", "ipps", "--t", "2", "--budget", "2000000",
+                 str(trivial)]) == 3
+    assert "internal error" not in capsys.readouterr().err
+    # The ground-set cap is checked before the greedy walk over C(4097, 2) pairs.
+    assert main(["construct", "--family", "greedy", "--v", "4097", "--w", "2", "--t", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ground set size 4097 exceeds cap 4096\n"

@@ -23,6 +23,7 @@ from traceschemes import (
     render_set_system,
     trivial_ts,
 )
+from traceschemes.core import _colex_masks, _own_subsets, _points
 
 
 def test_new_set_system_basic():
@@ -130,6 +131,23 @@ def test_own_subsets_errors():
         enumerate_own_subsets(s, 0, 4)
     with pytest.raises(PointOutOfRange):
         enumerate_own_subsets(s, 1, 2)
+
+
+def test_own_subsets_generator_is_lazy_and_in_order():
+    s = new_set_system(9, [[0, 1, 2, 3], [2, 3, 4, 5], [0, 1, 5, 6], [0, 6, 7, 8]])
+    for i in range(s.m):
+        for tau in range(1, 5):
+            assert list(_own_subsets(s, i, tau)) == _brute_own_subsets(s, i, tau)
+    # two disjoint 61-point blocks: C(61, 21) own subsets, the first one at once
+    s = new_set_system(122, [range(61), range(61, 122)])
+    assert next(_own_subsets(s, 0, 21)) == tuple(range(21))
+
+
+def test_colex_masks_match_a_literal_sort():
+    for v in range(11):
+        for k in range(1, 11):
+            colex = sorted(combinations(range(v), k), key=lambda c: c[::-1])
+            assert [tuple(_points(m)) for m in _colex_masks(v, k)] == colex, (v, k)
 
 
 def test_render_parse_round_trip():

@@ -1,7 +1,10 @@
 """Oracle machinery: optimum search, proof traces, configurations."""
 
+import hashlib
 import random
+import tracemalloc
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -27,6 +30,7 @@ from traceschemes import (
     verify_ipps,
     verify_ts,
 )
+from traceschemes.oracle import render_trace_ipps
 
 
 def _triples(v):
@@ -74,6 +78,23 @@ def test_search_budget_exhaustion_flags_incomplete():
     assert not r.complete
     assert r.nodes_explored >= 200
     assert verify_ts(r.witness_family, 2).holds  # still a valid lower bound
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_search_memory_follows_the_budget():
+    # C(22, 11) = 705,432 candidate blocks, but a 10-node budget reaches
+    # only the first 11 of them.
+    r, peak = _peak_bytes(lambda: exhaustive_optimal(SchemeParams(2, 11, 22), "ts", budget=10))
+    assert (r.optimum, r.complete, r.nodes_explored) == (2, False, 11)
+    assert peak < 2_000_000
 
 
 def test_search_rejects_unknown_property():
@@ -157,6 +178,92 @@ def test_ipps_trace_blocked_when_own_subsets_exist():
     assert trace.step == "precondition"
     trace = ipps_violation_from_missing_own_subsets(trivial_ts(8, 3), 2)
     assert isinstance(trace, TraceBlocked)
+
+
+def test_ipps_trace_precondition_stops_at_the_first_own_subset():
+    # every 8-subset of either block is its own: C(23, 8) = 490,314 of them
+    s = new_set_system(46, [range(23), range(23, 46)])
+    trace, peak = _peak_bytes(lambda: ipps_violation_from_missing_own_subsets(s, 2))
+    assert trace == TraceBlocked(step="precondition", detail="block 0 has a 8-own-subset")
+    assert peak < 2_000_000
+
+
+def _ipps_trace_systems():
+    # seeded random systems at strengths 4..6, where the trace has >= 2
+    # linking sets D_i and can stop at a D_i-choice
+    rng = random.Random(9)
+    for _ in range(300):
+        t = rng.choice((4, 5, 6))
+        v = rng.randrange(6, 13)
+        w = rng.randrange(v // 2, v)
+        m = rng.randrange(4, 25)
+        blocks = set()
+        while len(blocks) < min(m, comb(v, w)):
+            blocks.add(tuple(sorted(rng.sample(range(v), w))))
+        yield new_set_system(v, sorted(blocks)), t
+
+
+def test_ipps_trace_linking_sets_match_a_literal_scan():
+    # D_i is the lexicographically first k-subset of the points of B_i left
+    # after the earlier chunks and A_i, with a point outside B_1..B_(i-1).
+    done = late = 0
+    for s, t in _ipps_trace_systems():
+        trace = ipps_violation_from_missing_own_subsets(s, t)
+        if isinstance(trace, TraceBlocked):
+            continue
+        done += 1
+        k = -(-s.w // (t * t // 4 + t))
+        used: set[int] = set()
+        for i, (a, d) in enumerate(zip(trace.a_sets, trace.d_sets), start=1):
+            free = [p for p in s.blocks[trace.selected[i - 1]] if p not in used and p not in a]
+            earlier = set().union(*(s.blocks[b] for b in trace.selected[:i - 1]))
+            assert d == next(c for c in combinations(free, k) if not set(c) <= earlier)
+            late += d != tuple(free[:k])
+            used |= set(a) | set(d)
+    assert done == 68 and late == 29
+
+
+def test_ipps_trace_output_is_pinned():
+    h = hashlib.sha256()
+    steps = set()
+    for s, t in _ipps_trace_systems():
+        trace = ipps_violation_from_missing_own_subsets(s, t)
+        steps.add(getattr(trace, "step", "done"))
+        h.update(render_trace_ipps(trace).encode())
+    assert {"done", "D2-choice", "D3-choice", "D2-size"} <= steps
+    assert h.hexdigest() == "6ea761f2ddbc1e55d18ea92dd0b8c791169bced2a328ab1e022851ac405fd8f2"
+
+
+def _all_subsets(v, w):
+    return new_set_system(v, list(combinations(range(v), w)))
+
+
+def test_ipps_trace_literal_high_strength():
+    # D_2 = 8: the points 5 6 left in B_2 lie in B_1, so 8 replaces them
+    assert render_trace_ipps(ipps_violation_from_missing_own_subsets(_all_subsets(9, 8), 4)) == (
+        "trace ipps-own-subsets\n"
+        "1 selected blocks: 0 1 2\n"
+        "2 A_1 = 0 1 ; C(1) = 1\n"
+        "3 D_1 = 2\n"
+        "4 A_2 = 3 4 ; C(2) = 0\n"
+        "5 D_2 = 8\n"
+        "6 A_3 = 5 7 ; C(3) = 0\n"
+        "7 pirate set T = 0 1 2 3 4 5 7 8\n"
+        "8 parent sets: (0 1) (0 1 2) (0 2) (1 2)\n")
+    assert render_trace_ipps(ipps_violation_from_missing_own_subsets(_all_subsets(12, 9), 5)) == (
+        "trace ipps-own-subsets\n"
+        "1 selected blocks: 0 1 4\n"
+        "2 A_1 = 0 1 2 ; C(1) = 1\n"
+        "3 D_1 = 3\n"
+        "4 A_2 = 4 5 6 ; C(2) = 0\n"
+        "5 D_2 = 9\n"
+        "6 A_3 = 8 ; C(3) = 0\n"
+        "7 pirate set T = 0 1 2 3 4 5 6 8 9\n"
+        "8 parent sets: (0 1) (0 1 4) (0 4) (1 4)\n")
+    assert render_trace_ipps(ipps_violation_from_missing_own_subsets(_all_subsets(12, 10), 4)) == (
+        "trace ipps-own-subsets blocked\n"
+        "step D2-size\n"
+        "only 0 points free for the linking set\n")
 
 
 def test_ipps_trace_strength_three():
