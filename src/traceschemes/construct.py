@@ -24,7 +24,7 @@ from .core import (
     SetSystem,
     _ceil_div,
     _check_ground_set,
-    _colex_masks,
+    _colex_next,
     _mask,
     _points,
     new_set_system,
@@ -63,6 +63,7 @@ def trivial_ts(v: int, w: int) -> SetSystem:
     """
     if not v >= w >= 1:
         raise ParamsInvalid(f"need v >= w >= 1, got v={v} w={w}")
+    _check_ground_set(v)  # before the v - w + 1 blocks are built
     core = list(range(w - 1))
     blocks = [core + [j] for j in range(w - 1, v)]
     return new_set_system(v, blocks)
@@ -126,9 +127,10 @@ def pg_lines(n: int, q: int) -> SetSystem:
     2-dimensional ones; a 2-design with index 1, width q+1, on
     q^n + ... + q + 1 points.
     """
-    if n < 2:
-        raise ParamsInvalid(f"projective dimension n={n} must be >= 2")
+    if not 2 <= n <= 12:  # every q is >= 2, so from n = 13 on no space fits the cap
+        raise ParamsInvalid(f"projective dimension n={n} must be in [2, 12]")
     field = gf(q)
+    _check_ground_set((q ** (n + 1) - 1) // (q - 1))  # before a point is built
     pts = _projective_points(field, n + 1)
     index = {pt: i for i, pt in enumerate(pts)}
 
@@ -149,9 +151,10 @@ def ag_lines(n: int, q: int) -> SetSystem:
     Points are the vectors of GF(q)^n, blocks the affine lines; a 2-design
     with index 1, width q, on q^n points.
     """
-    if n < 2:
-        raise ParamsInvalid(f"affine dimension n={n} must be >= 2")
+    if not 2 <= n <= 12:  # every q is >= 2, so from n = 13 on no space fits the cap
+        raise ParamsInvalid(f"affine dimension n={n} must be in [2, 12]")
     field = gf(q)
+    _check_ground_set(q ** n)  # before a point is built
     pts = sorted(product(range(q), repeat=n))
     index = {pt: i for i, pt in enumerate(pts)}
 
@@ -299,7 +302,9 @@ def greedy_packing_ts(v: int, w: int, t: int, budget: int = 10_000_000) -> SetSy
         raise BudgetExceeded(f"C({v},{w}) = {comb(v, w)} exceeds budget {budget}")
     tau = _ceil_div(w, t * t)
     kept: list[int] = []
-    for m in _colex_masks(v, w):
+    m, top = (1 << w) - 1, 1 << v
+    while m < top:
         if all((m & km).bit_count() < tau for km in kept):
             kept.append(m)
+        m = _colex_next(m)
     return new_set_system(v, [_points(m) for m in kept])

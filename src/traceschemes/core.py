@@ -6,8 +6,8 @@ constructions, searches) consumes the ``SetSystem`` built here.  Blocks are
 kept in canonical lexicographic order so all outputs are reproducible.
 
 The bitmask primitives shared by the other modules live here too: a point
-set is an int with bit p set for point p, the k-subsets of a ground set are
-generated as masks in colex order one at a time, and own-subsets are
+set is an int with bit p set for point p, each k-subset of a ground set is
+computed as a mask from the one before it in colex order, and own-subsets are
 generated lazily, so a caller that needs only the first pays only for it.
 """
 
@@ -76,18 +76,16 @@ def _points(mask: int) -> list[int]:
     return pts
 
 
-def _colex_masks(v: int, k: int) -> Iterator[int]:
-    """The k-subsets of range(v) as masks, in colexicographic order (k >= 1).
+def _colex_next(mask: int) -> int:
+    """The next k-subset after ``mask`` in colexicographic order (mask != 0).
 
-    Colex order is numeric order of the masks.  Each mask is the next larger
-    one with k bits set, Gosper's successor of the last (HAKMEM item 175).
+    Colex order is numeric order of the masks, so this is the next larger
+    mask with as many bits set: Gosper's successor (HAKMEM item 175).  The
+    k-subsets of range(v) run from (1 << k) - 1 until the mask reaches 1 << v.
     """
-    mask, top = (1 << k) - 1, 1 << v
-    while mask < top:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | ((ripple ^ mask) >> 2) // low
+    low = mask & -mask
+    ripple = mask + low
+    return ripple | ((ripple ^ mask) >> 2) // low
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -112,13 +110,17 @@ class SetSystem:
 
     Immutable after construction; safe to share across workers.  ``blocks``
     is lexicographically sorted, each block strictly ascending.  ``masks``
-    holds one bitmask per block for fast intersection counting.
+    holds one bitmask per block for fast intersection counting; it is
+    derived from ``blocks``, so a system built directly has it too.
     """
 
     v: int
     w: int
     blocks: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...] = field(repr=False, compare=False, default=())
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "masks", tuple(_mask(b) for b in self.blocks))
 
     @property
     def m(self) -> int:
@@ -165,8 +167,7 @@ def new_set_system(v: int, blocks: Sequence[Sequence[int]], width: int | None = 
     for i in range(len(canon) - 1):
         if canon[i] == canon[i + 1]:
             raise DuplicateBlock(f"block {canon[i]!r} appears more than once")
-    blocks_t = tuple(canon)
-    return SetSystem(v=v, w=w, blocks=blocks_t, masks=tuple(_mask(b) for b in blocks_t))
+    return SetSystem(v=v, w=w, blocks=tuple(canon))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ closed under removing blocks, so pruning at the first invalid extension is
 complete).  Its root takes only the first w-set: the properties are kept by
 every point permutation, which can move any block there, and a walk over
 every root would meet its first maximum family in that subtree anyway.
-The candidate w-sets come as masks in colex order, and only as many are
-taken as the node budget can reach, so the budget bounds memory too.
+The walk is one loop: each candidate w-set is a mask computed from the
+last one, so memory is O(v + family size) at any budget and no depth of
+the family meets the recursion limit.
 
 The violation builders replay the constructive arguments behind the
 strength-squared cover-free relation and the small-own-subset
@@ -23,7 +24,7 @@ a linking set is read off the points left in its block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 
 from .bounds import bound_report, minimal_config_size_bound
 from .core import (
@@ -32,7 +33,8 @@ from .core import (
     SchemeParams,
     SetSystem,
     _ceil_div,
-    _colex_masks,
+    _check_ground_set,
+    _colex_next,
     _mask,
     _own_subsets,
     _points,
@@ -119,8 +121,9 @@ def _cff_extension_ok(masks: list[int], pb: list[list[int]], w: int, t: int,
                       work: _Work) -> bool:
     # The family without the new block is a CFF, so a cover of an old block
     # b must use the new block: it is enough to cover what the new block
-    # leaves of b.  Those points lie outside the new block, so skipping b
-    # alone keeps the new block out of that search.
+    # leaves of b.  Those points lie outside the new block, and the new
+    # block's own cover skips it, so pb need not list the new block: the
+    # search adds a block to it only once the block is accepted.
     new = len(masks) - 1
     limit = min(t, new)
     if _find_cover(masks, pb, masks[new], limit, w, work, new) is not None:
@@ -153,66 +156,68 @@ def exhaustive_optimal(p: SchemeParams, property: str,
     subtree first and keep only strictly larger families after it, so its
     first maximum family, the witness, is the one found here.
 
+    The walk is one loop over a current candidate mask.  The candidate
+    after a tried one, accepted or not, is its colex successor; one past
+    the last w-set, the last block is popped and the walk goes on at that
+    block's successor.  Memory is O(v + family size) at any budget, and
+    since nothing recurses, no family is too large for the walk.
+
     Intended for tiny parameters (roughly v <= 9).  When the node budget
     runs out, the best family found so far is returned with
-    ``complete=False`` and is only a lower bound.  Only the first
-    ``budget + 1`` candidate w-sets are generated, since no node within
-    the budget reaches a later one.
+    ``complete=False`` and is only a lower bound.
     """
     if property not in PROPERTIES:
         raise ParamsInvalid(f"property must be one of {PROPERTIES}, got {property!r}")
-    # Candidate c is tried only after at least c + 1 nodes (the loop indices
-    # rise along the path from the root), so no index above the budget is
-    # reached; index ``budget`` is kept so that the stop falls on that node.
-    cand_masks = list(islice(_colex_masks(p.v, p.w), budget + 1))
-    candidates = [_points(m) for m in cand_masks]
-    n = len(candidates)
+    _check_ground_set(p.v)  # before the walk, not at the witness after it
     best: list[int] = []
     masks: list[int] = []
     # pb[q] lists the family's blocks through point q, ascending, as the
-    # cover kernels expect; it is kept up to date as blocks come and go.
+    # cover kernels expect; a block joins it once accepted.
     pb: list[list[int]] = [[] for _ in range(p.v)]
     # unions and bits list each selection of 1..t blocks of the family for
-    # the IPPS check: a push appends those that hold the new block, a pop
-    # truncates them away.
+    # the IPPS check: a push appends those that hold the new block, and
+    # sizes[i] is their length before block i was pushed.
     unions: list[int] = []
     bits: list[int] = []
+    sizes: list[int] = []
     nodes = _Work(budget)
     work = _Work()  # the node budget bounds the search instead
-
-    def extension_ok() -> bool:
-        if property == "ts":
-            return _ts_extension_ok(masks, p.w, p.t, work)
-        if property == "cff":
-            return _cff_extension_ok(masks, pb, p.w, p.t, work)
-        # The family without the new block is an IPPS, so a w-set can become
-        # ambiguous only through a cover that holds the new block.
-        return _ipps_ambiguity(unions, bits, p.w, work, len(masks) - 1) is None
-
-    def rec(start: int, stop: int) -> None:
-        nonlocal best
-        for ci in range(start, stop):
+    complete = True
+    mask = root = (1 << p.w) - 1  # candidate 0
+    try:
+        # The root level holds only candidate 0, as argued above, so the
+        # walk ends when it backs up past the root.
+        while masks or mask == root:
             nodes.tick()
             index = len(masks)
-            mask = cand_masks[ci]
-            masks.append(mask)
-            for q in candidates[ci]:
-                pb[q].append(index)
             size = len(unions)
-            if property == "ipps":
+            masks.append(mask)
+            if property == "ts":
+                ok = _ts_extension_ok(masks, p.w, p.t, work)
+            elif property == "cff":
+                ok = _cff_extension_ok(masks, pb, p.w, p.t, work)
+            else:
+                # The family without the new block is an IPPS, so a w-set can
+                # become ambiguous only through a cover that holds the new block.
                 _ipps_push(unions, bits, mask, index, p.t)
-            if extension_ok():
+                ok = _ipps_ambiguity(unions, bits, p.w, work, index) is None
+            if ok:
                 if len(masks) > len(best):
                     best = masks.copy()
-                rec(ci + 1, n)
-            del unions[size:], bits[size:]
-            for q in candidates[ci]:
-                pb[q].pop()
-            masks.pop()
-
-    complete = True
-    try:
-        rec(0, 1)  # the root takes candidate 0 only, as argued above
+                for q in _points(mask):
+                    pb[q].append(index)
+                sizes.append(size)
+            else:
+                masks.pop()
+                del unions[size:], bits[size:]
+            mask = _colex_next(mask)
+            while mask >> p.v and masks:  # past the last w-set: back up
+                mask = masks.pop()
+                for q in _points(mask):
+                    pb[q].pop()
+                size = sizes.pop()
+                del unions[size:], bits[size:]
+                mask = _colex_next(mask)
     except _BudgetStop:
         complete = False
     witness = new_set_system(p.v, [_points(m) for m in best], width=p.w)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import tempfile
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -344,3 +345,32 @@ def test_wide_inputs_end_without_internal_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: ground set size 4097 exceeds cap 4096\n"
+
+
+def test_over_cap_inputs_stop_before_any_work(capsys):
+    # Each ground set is sized from the parameters alone, before a point,
+    # field table or search node exists.
+    cases = {
+        ("search", "--property", "cff", "--t", "2", "--w", "2", "--v", "5000"): 5000,
+        ("search", "--property", "ts", "--t", "2", "--w", "2", "--v", "5000",
+         "--budget", "100000"): 5000,
+        ("construct", "--family", "pg-lines", "--n", "2", "--q", "97"): 9507,
+        ("construct", "--family", "ag-lines", "--n", "2", "--q", "97"): 9409,
+        ("construct", "--family", "pg-lines", "--n", "3", "--q", "17"): 5220,
+        ("construct", "--family", "pg-lines", "--n", "3", "--q", "97"): 922180,
+        ("construct", "--family", "trivial", "--v", "1000000", "--w", "2"): 1000000,
+    }
+    for argv, size in cases.items():
+        start = time.perf_counter()
+        assert main(list(argv)) == 2, argv
+        assert time.perf_counter() - start < 1.0, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ground set size {size} exceeds cap 4096\n", argv
+    # From n = 13 on every space is over the cap, whatever the field.
+    assert main(["construct", "--family", "ag-lines", "--n", "1000000000", "--q", "97"]) == 2
+    assert capsys.readouterr().err == (
+        "error: affine dimension n=1000000000 must be in [2, 12]\n")
+    # The field order is checked before the count, whose formula divides by q - 1.
+    assert main(["construct", "--family", "pg-lines", "--n", "2", "--q", "1"]) == 2
+    assert capsys.readouterr().err == "error: field order 1 not supported\n"

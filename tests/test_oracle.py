@@ -1,7 +1,9 @@
 """Oracle machinery: optimum search, proof traces, configurations."""
 
 import hashlib
+import inspect
 import random
+import sys
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -95,6 +97,28 @@ def test_search_memory_follows_the_budget():
     r, peak = _peak_bytes(lambda: exhaustive_optimal(SchemeParams(2, 11, 22), "ts", budget=10))
     assert (r.optimum, r.complete, r.nodes_explored) == (2, False, 11)
     assert peak < 2_000_000
+
+
+def test_search_memory_stays_flat_under_a_large_budget():
+    # The candidates are computed one from the last, never listed, so 20,000
+    # nodes over C(22, 11) w-sets hold no more than a 10-node search does.
+    r, peak = _peak_bytes(
+        lambda: exhaustive_optimal(SchemeParams(2, 11, 22), "ts", budget=20_000))
+    assert (r.complete, r.nodes_explored) == (False, 20_001)
+    assert peak < 500_000
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # The family grows to 199 blocks, one per level of the walk, with room
+    # for only 100 more frames on the stack.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        r = exhaustive_optimal(SchemeParams(2, 2, 200), "cff", budget=20_000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (r.optimum, r.complete) == (199, False)
+    assert verify_cff(r.witness_family, 2).holds
 
 
 def test_search_rejects_unknown_property():

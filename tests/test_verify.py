@@ -13,6 +13,7 @@ from traceschemes import (
     IppsAmbiguity,
     ParamsInvalid,
     SchemeParams,
+    SetSystem,
     TauOutOfRange,
     TsEvasion,
     ag_lines,
@@ -296,6 +297,20 @@ def test_ts_tie_counts_as_violation():
     assert out.violated
     ok, _ = check_witness(s, out.witness)
     assert ok
+
+
+def test_directly_built_system_gets_the_same_verdicts():
+    # SetSystem is public; its masks come from its blocks however it is built.
+    direct = SetSystem(v=4, w=2, blocks=((0, 1), (1, 2), (2, 3)))
+    canon = new_set_system(4, [[2, 3], [0, 1], [1, 2]])
+    assert direct == canon and direct.masks == canon.masks == (0b11, 0b110, 0b1100)
+    for check in (verify_ts, verify_ipps, verify_ipps_star, verify_cff):
+        for t in (1, 2):
+            assert check(direct, t) == check(canon, t), (check.__name__, t)
+    assert verify_ts(direct, 2, "certified") == verify_ts(canon, 2, "certified")
+    assert verify_design(direct, 2, 1) == verify_design(canon, 2, 1)
+    assert verify_packing(direct, 1) == verify_packing(canon, 1)
+    assert check_witness(direct, verify_ts(canon, 2).witness) == (True, "evasion verified")
 
 
 def test_ts_certified_modes():
