@@ -49,19 +49,19 @@ def _cmd_construct(args) -> int:
     fam = args.family
     if fam == "trivial":
         _require(args, "v", "w")
-        system = construct_mod.trivial_ts(args.v, args.w)
+        system = construct_mod.trivial_ts(args.v, args.w, args.budget)
     elif fam == "pg-lines":
         _require(args, "n", "q")
-        system = construct_mod.pg_lines(args.n, args.q)
+        system = construct_mod.pg_lines(args.n, args.q, args.budget)
     elif fam == "ag-lines":
         _require(args, "n", "q")
-        system = construct_mod.ag_lines(args.n, args.q)
+        system = construct_mod.ag_lines(args.n, args.q, args.budget)
     elif fam == "inversive":
         _require(args, "q")
-        system = construct_mod.inversive_plane(args.q)
+        system = construct_mod.inversive_plane(args.q, args.budget)
     elif fam == "hermitian":
         _require(args, "q")
-        system = construct_mod.hermitian_unital(args.q)
+        system = construct_mod.hermitian_unital(args.q, args.budget)
     elif fam == "greedy":
         _require(args, "v", "w", "t")
         system = construct_mod.greedy_packing_ts(args.v, args.w, args.t, budget=args.budget)
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--base")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=construct_mod.DEFAULT_BUDGET)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_construct)
 

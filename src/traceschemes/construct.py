@@ -32,6 +32,10 @@ from .core import (
 from .gf import GF, gf
 from .verify import verify_design
 
+# Work cap of a construction, in incidences (m blocks of w points) or, for
+# the greedy packing, in w-subsets walked.
+DEFAULT_BUDGET = 10_000_000
+
 
 class NotADesign(ParamsInvalid):
     """Extension base failed its design verification."""
@@ -55,7 +59,15 @@ class ExtensionCertificate:
     tau: int
 
 
-def trivial_ts(v: int, w: int) -> SetSystem:
+def _check_size(m: int, w: int, budget: int) -> None:
+    """Refuse a family of m blocks of w points before building it, when
+    its m*w incidences exceed ``budget``."""
+    if m * w > budget:
+        raise BudgetExceeded(f"{m} blocks of {w} points = {m * w} incidences "
+                             f"exceed budget {budget}")
+
+
+def trivial_ts(v: int, w: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     """v-w+1 blocks sharing a common (w-1)-core, one extra point each.
 
     A traceability scheme at every strength: outside the core, every block
@@ -64,6 +76,7 @@ def trivial_ts(v: int, w: int) -> SetSystem:
     if not v >= w >= 1:
         raise ParamsInvalid(f"need v >= w >= 1, got v={v} w={w}")
     _check_ground_set(v)  # before the v - w + 1 blocks are built
+    _check_size(v - w + 1, w, budget)
     core = list(range(w - 1))
     blocks = [core + [j] for j in range(w - 1, v)]
     return new_set_system(v, blocks)
@@ -120,7 +133,7 @@ def _vec_scale(field: GF, c: int, a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(field.mul[c][x] for x in a)
 
 
-def pg_lines(n: int, q: int) -> SetSystem:
+def pg_lines(n: int, q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     """Lines of the n-dimensional projective geometry over GF(q).
 
     Points are the 1-dimensional subspaces of GF(q)^(n+1), blocks the
@@ -130,7 +143,9 @@ def pg_lines(n: int, q: int) -> SetSystem:
     if not 2 <= n <= 12:  # every q is >= 2, so from n = 13 on no space fits the cap
         raise ParamsInvalid(f"projective dimension n={n} must be in [2, 12]")
     field = gf(q)
-    _check_ground_set((q ** (n + 1) - 1) // (q - 1))  # before a point is built
+    v = (q ** (n + 1) - 1) // (q - 1)
+    _check_ground_set(v)  # before a point is built
+    _check_size(comb(v, 2) // comb(q + 1, 2), q + 1, budget)
     pts = _projective_points(field, n + 1)
     index = {pt: i for i, pt in enumerate(pts)}
 
@@ -145,7 +160,7 @@ def pg_lines(n: int, q: int) -> SetSystem:
     return _steiner_blocks(len(pts), 2, line_through)
 
 
-def ag_lines(n: int, q: int) -> SetSystem:
+def ag_lines(n: int, q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     """Lines of the n-dimensional affine geometry over GF(q).
 
     Points are the vectors of GF(q)^n, blocks the affine lines; a 2-design
@@ -155,6 +170,7 @@ def ag_lines(n: int, q: int) -> SetSystem:
         raise ParamsInvalid(f"affine dimension n={n} must be in [2, 12]")
     field = gf(q)
     _check_ground_set(q ** n)  # before a point is built
+    _check_size(comb(q ** n, 2) // comb(q, 2), q, budget)
     pts = sorted(product(range(q), repeat=n))
     index = {pt: i for i, pt in enumerate(pts)}
 
@@ -192,7 +208,7 @@ def _mobius_apply(field: GF, coeffs, z: int | None) -> int | None:
     return None if den == 0 else field.div(num, den)
 
 
-def inversive_plane(q: int) -> SetSystem:
+def inversive_plane(q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     """Circle geometry on the projective line over GF(q^2).
 
     Points are the q^2 field elements plus one infinite point (numbered
@@ -201,6 +217,7 @@ def inversive_plane(q: int) -> SetSystem:
     A 3-design with index 1, width q+1, and q^3 + q blocks.
     """
     field = gf(q * q)
+    _check_size(comb(q * q + 1, 3) // comb(q + 1, 3), q + 1, budget)
     sub_members = set(field.subfield(q))
     inf_id = field.q
     v = field.q + 1
@@ -220,7 +237,7 @@ def inversive_plane(q: int) -> SetSystem:
     return _steiner_blocks(v, 3, circle_through)
 
 
-def hermitian_unital(q: int) -> SetSystem:
+def hermitian_unital(q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     """Unital of the Hermitian curve in the projective plane over GF(q^2).
 
     Points are the q^3 + 1 solutions of x^(q+1) + y^(q+1) + z^(q+1) = 0,
@@ -228,6 +245,7 @@ def hermitian_unital(q: int) -> SetSystem:
     and q^2 (q^2 - q + 1) blocks.
     """
     field = gf(q * q)
+    _check_size(comb(q ** 3 + 1, 2) // comb(q + 1, 2), q + 1, budget)
     pts = _projective_points(field, 3)
     curve = [pt for pt in pts if not _hermitian_form(field, q, pt)]
     index = {pt: i for i, pt in enumerate(curve)}
@@ -287,7 +305,7 @@ def design_max_strength(tau: int, w: int) -> int:
     return isqrt((w - 1) // (tau - 1))
 
 
-def greedy_packing_ts(v: int, w: int, t: int, budget: int = 10_000_000) -> SetSystem:
+def greedy_packing_ts(v: int, w: int, t: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     """Maximal ceil(w/t^2)-packing grown greedily in colex order.
 
     Streams all w-subsets in colexicographic order and keeps each one that

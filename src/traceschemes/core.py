@@ -205,6 +205,39 @@ def _own_subsets(s: SetSystem, block_index: int, tau: int) -> Iterator[tuple[int
             yield sub
 
 
+def _has_own_subset(s: SetSystem, block_index: int, tau: int) -> bool:
+    """Whether some tau-subset of the given block lies in no other block.
+
+    Decided without listing subsets.  A point set inside block B lies in no
+    other block B' iff it meets every B - B', and a set of at most tau such
+    points extends inside B to a tau-subset that still meets them all.  So
+    the question is whether the sets B - B' have a hitting set of at most
+    tau points; only the B' meeting B in tau points or more matter.  The
+    search branches on the smallest set not yet hit, one branch per point;
+    a point tried in one branch is left out of the later branches.
+    """
+    mask = s.masks[block_index]
+    sets = {mask & ~r for i, r in enumerate(s.masks)
+            if i != block_index and (r & mask).bit_count() >= tau}
+    stack = [(sets, tau)]
+    while stack:
+        sets, left = stack.pop()
+        if not sets:
+            return True
+        if left == 0:
+            continue
+        smallest = min(sets, key=int.bit_count)
+        tried = 0
+        while smallest:
+            bit = smallest & -smallest
+            smallest ^= bit
+            rest = [x & ~tried for x in sets if not x & bit]
+            if all(rest):  # a set emptied by the points left out cannot be hit
+                stack.append((rest, left - 1))
+            tried |= bit
+    return False
+
+
 def enumerate_own_subsets(s: SetSystem, block_index: int, tau: int) -> OwnSubsetReport:
     """List every tau-subset of the given block lying in no other block."""
     if not 0 <= block_index < s.m:

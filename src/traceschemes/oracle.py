@@ -35,8 +35,8 @@ from .core import (
     _ceil_div,
     _check_ground_set,
     _colex_next,
+    _has_own_subset,
     _mask,
-    _own_subsets,
     _points,
     new_set_system,
 )
@@ -338,7 +338,7 @@ def ipps_violation_from_missing_own_subsets(s: SetSystem,
     hu = _ceil_div(t, 2)
     hd = t // 2
     for i in range(s.m):
-        if next(_own_subsets(s, i, k), None) is not None:
+        if _has_own_subset(s, i, k):
             return TraceBlocked(step="precondition",
                                 detail=f"block {i} has a {k}-own-subset")
     pb = _point_blocks(s)

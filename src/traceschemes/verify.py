@@ -6,10 +6,13 @@ variant over pirate sets larger than one block width), and strength-t
 traceability scheme (TS).  Exhaustive mode covers the full quantifier
 space and is decisive; for TS it decides whether some pirate set evades a
 coalition by counting overlaps, and builds the witness's pirate set a
-point at a time by the same counting; for IPPS it extends ambiguous point
-sets depth first, a point at a time.  Certified mode for TS proves the
-property from a pairwise-intersection packing condition or from a
-design-extension certificate, and says "inconclusive" otherwise.
+point at a time by the same counting; for IPPS it first reads the
+pairwise-intersection packing condition off the pair unions it lists
+anyway (a t-TS is a t-IPPS), and otherwise extends ambiguous point sets
+depth first, a point at a time.  Certified mode, for TS only, proves the
+property from that packing condition or from a design-extension
+certificate, and says "inconclusive" otherwise; IPPS needs no such mode,
+since its certificate costs nothing beyond the exhaustive decision.
 
 Every violation is reported as a structured witness that re-validates
 against the raw system by direct recomputation (see :func:`check_witness`),
@@ -544,21 +547,19 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
 # parent-identifying set systems
 
 
-def _ipps_selections(masks, t: int, work: _Work) -> tuple[list[int], list[int]]:
-    """Union and block bits of each selection of 1..min(t, m) blocks.
+def _ipps_levels(masks, t: int, work: _Work):
+    """Union and block bits of the selections of k blocks, for k = 1..min(t, m).
 
-    Selections come by size, each size in lexicographic order.  One work
-    unit per selection, so the budget also bounds memory.
+    Each level comes in lexicographic order and is paid for, one work unit
+    per selection, just before it is listed, so the budget also bounds
+    memory and a caller that stops early pays for no later level.
     """
     m = len(masks)
-    work.tick(sum(comb(m, k) for k in range(1, min(t, m) + 1)))
-    level = [(masks[i], 1 << i, i) for i in range(m)]
-    unions, bits = list(masks), [b for _, b, _ in level]
-    for _ in range(min(t, m) - 1):
+    level = [(0, 0, -1)]  # the empty selection
+    for k in range(1, min(t, m) + 1):
+        work.tick(comb(m, k))
         level = [(u | masks[j], b | 1 << j, j) for u, b, i in level for j in range(i + 1, m)]
-        unions += [u for u, _, _ in level]
-        bits += [b for _, b, _ in level]
-    return unions, bits
+        yield [u for u, _, _ in level], [b for _, b, _ in level]
 
 
 def _ipps_ambiguity(unions: list[int], bits: list[int], w: int, work: _Work,
@@ -566,9 +567,9 @@ def _ipps_ambiguity(unions: list[int], bits: list[int], w: int, work: _Work,
     """Lexicographically first ambiguous w-set and the block bits of its covers.
 
     ``unions`` and ``bits`` list the selections of at most t blocks, in any
-    order, as from :func:`_ipps_selections`.  A point set is ambiguous when
-    some selection covers it and the selections that cover it share no
-    block.  A cover of a set covers each of its subsets, so the subsets of
+    order, such as the levels of :func:`_ipps_levels` joined.  A point set
+    is ambiguous when some selection covers it and the selections that
+    cover it share no block.  A cover of a set covers each of its subsets, so the subsets of
     an ambiguous set are ambiguous: a depth-first walk over points in
     ascending order that extends only ambiguous prefixes meets every
     ambiguous w-set, the lexicographically first one first.  A prefix
@@ -622,7 +623,12 @@ def _ipps_ambiguity(unions: list[int], bits: list[int], w: int, work: _Work,
 def verify_ipps(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOutcome:
     """Holds iff every width-w pirate set with a cover has a common parent block.
 
-    Decided by :func:`_ipps_ambiguity`; a violation reports the
+    A t-TS is a t-IPPS: a block of largest overlap with the pirate set lies
+    in every cover.  So once the single and pair selections are listed, a
+    system in which every two blocks share fewer than ceil(w/t^2) points,
+    read off the pair unions as 2w - |B_i | B_j|, holds by the pairwise
+    condition of certified TS, and no larger selection is listed.  Otherwise the rest
+    are listed and :func:`_ipps_ambiguity` decides; a violation reports the
     lexicographically first ambiguous w-set and all its minimal covers.
     """
     if t < 1:
@@ -630,8 +636,17 @@ def verify_ipps(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOut
     if s.m < 2:  # one block is a common parent of all it covers
         return VerifyOutcome(HOLDS, EXHAUSTIVE, work=0)
     work = _Work(budget)
+    tau = _ceil_div(s.w, t * t)
+    unions: list[int] = []
+    bits: list[int] = []
     try:
-        found = _ipps_ambiguity(*_ipps_selections(s.masks, t, work), s.w, work)
+        for k, (level, level_bits) in enumerate(_ipps_levels(s.masks, t, work), 1):
+            unions += level
+            bits += level_bits
+            if k == 2 and 2 * s.w - min(map(int.bit_count, level)) < tau:
+                detail = f"pairwise intersections below {tau} certify a {t}-TS, so a {t}-IPPS"
+                return VerifyOutcome(HOLDS, EXHAUSTIVE, detail=detail, work=work.count)
+        found = _ipps_ambiguity(unions, bits, s.w, work)
     except _BudgetStop:
         return VerifyOutcome(INCONCLUSIVE, EXHAUSTIVE, detail=BUDGET_EXCEEDED, work=work.count)
     if found is None:

@@ -162,6 +162,26 @@ def test_trace_commands(tmp_path, capsys):
     assert "blocked" in captured.out
 
 
+def test_ipps_trace_precondition_lists_no_subsets(tmp_path, capsys):
+    # No 6-subset of a 16-subset of 18 points is its own: the other blocks
+    # missing one of its points leave 16 single points to hit.  Listing the
+    # C(16, 6) = 8,008 subsets of each of the 153 blocks took seconds.
+    path = tmp_path / "all16.ss"
+    path.write_text(render_set_system(new_set_system(18, list(combinations(range(18), 16)))),
+                    encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["trace", "--kind", "ipps-own-subsets", "--t", "2", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == (
+        "trace ipps-own-subsets\n"
+        "1 selected blocks: 0 1\n"
+        "2 A_1 = 0 1 2 3 4 5 ; C(1) = 1\n"
+        "3 D_1 = 6 7 8 9 10 11\n"
+        "4 A_2 = 12 13 14 16 ; C(2) = 15\n"
+        "5 pirate set T = 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 16\n"
+        "6 parent sets: (0 1) (0 15) (1)\n")
+
+
 def test_own_subsets_command(tmp_path, capsys):
     out = tmp_path / "pg24.ss"
     main(["construct", "--family", "pg-lines", "--n", "2", "--q", "4", "-o", str(out)])
@@ -374,3 +394,27 @@ def test_over_cap_inputs_stop_before_any_work(capsys):
     # The field order is checked before the count, whose formula divides by q - 1.
     assert main(["construct", "--family", "pg-lines", "--n", "2", "--q", "1"]) == 2
     assert capsys.readouterr().err == "error: field order 1 not supported\n"
+
+
+def test_constructions_over_budget_stop_before_building(capsys):
+    # Each family's block count is known from its parameters: C(v, tau) /
+    # C(w, tau) for the designs, v - w + 1 for the shared core.  AG(12, 2)
+    # has 4,096 points, within the cap, and 8,386,560 two-point lines.
+    start = time.perf_counter()
+    assert main(["construct", "--family", "ag-lines", "--n", "12", "--q", "2"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: 8386560 blocks of 2 points = 16773120 incidences "
+                            "exceed budget 10000000\n")
+    # m * w incidences: 21 * 5 for PG(2, 4), 208 * 5 for the unital on 65
+    # points, 30 * 4 for the inversive plane of order 3, 26 * 5 for trivial.
+    for family, size in ((["pg-lines", "--n", "2", "--q", "4"], 105),
+                         (["hermitian", "--q", "4"], 1040),
+                         (["inversive", "--q", "3"], 120),
+                         (["trivial", "--v", "30", "--w", "5"], 130)):
+        argv = ["construct", "--family", *family, "--budget"]
+        assert main(argv + [str(size - 1)]) == 2, family
+        assert capsys.readouterr().err.endswith(f"= {size} incidences exceed budget {size - 1}\n")
+        assert main(argv + [str(size)]) == 0, family
+        assert capsys.readouterr().out.startswith("setsystem ")

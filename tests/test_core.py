@@ -23,7 +23,7 @@ from traceschemes import (
     render_set_system,
     trivial_ts,
 )
-from traceschemes.core import _colex_next, _own_subsets, _points
+from traceschemes.core import _colex_next, _has_own_subset, _own_subsets, _points
 
 
 def test_new_set_system_basic():
@@ -141,6 +141,24 @@ def test_own_subsets_generator_is_lazy_and_in_order():
     # two disjoint 61-point blocks: C(61, 21) own subsets, the first one at once
     s = new_set_system(122, [range(61), range(61, 122)])
     assert next(_own_subsets(s, 0, 21)) == tuple(range(21))
+
+
+@st.composite
+def own_subset_cases(draw):
+    """Blocks of up to seven points on at most ten, so blocks overlap a lot."""
+    v = draw(st.integers(2, 10))
+    w = draw(st.integers(1, min(7, v)))
+    pool = list(combinations(range(v), w))
+    blocks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=min(12, len(pool)),
+                           unique=True))
+    return new_set_system(v, blocks)
+
+
+@given(own_subset_cases())
+def test_own_subset_existence_is_a_hitting_set_question(s):
+    for i in range(s.m):
+        for tau in range(1, s.w + 1):
+            assert _has_own_subset(s, i, tau) == bool(_brute_own_subsets(s, i, tau)), (i, tau)
 
 
 def test_colex_masks_match_a_literal_sort():

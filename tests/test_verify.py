@@ -2,7 +2,9 @@
 
 import hashlib
 import random
+import timeit
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import example, given
@@ -39,7 +41,7 @@ from traceschemes.oracle import _ipps_push
 from traceschemes.verify import (
     _BudgetStop,
     _ipps_ambiguity,
-    _ipps_selections,
+    _ipps_levels,
     _overlaps,
     _ts_evader,
     _ts_packs,
@@ -141,6 +143,15 @@ def _ts_evasion(masks, coalition: tuple[int, ...], outsiders: list[int], w: int,
     finally:
         work.count += spent
     return None
+
+
+def _ipps_selections(masks, t, work):
+    """Every selection of 1..t blocks, level after level, as the walk takes them."""
+    unions, bits = [], []
+    for level_unions, level_bits in _ipps_levels(masks, t, work):
+        unions += level_unions
+        bits += level_bits
+    return unions, bits
 
 
 def _random_system(rng, v, w, m):
@@ -815,6 +826,58 @@ def test_ipps_kernel_with_a_required_block(s, t, data):
     assert (found and found[0]) == first
 
 
+def _relabeled_subfamily(base):
+    """Some lines of ``base`` under a random point relabeling."""
+    def build(args):
+        perm, lines = args
+        return new_set_system(base.v, [sorted(perm[p] for p in base.blocks[i]) for i in lines])
+    return st.tuples(st.permutations(range(base.v)),
+                     st.lists(st.integers(0, base.m - 1), min_size=2, max_size=5,
+                              unique=True)).map(build)
+
+
+GEOMETRIES = [pg_lines(2, 4), ag_lines(2, 5), ag_lines(2, 4), pg_lines(2, 3)]
+
+
+def brute_ambiguous(s, t):
+    """Whether some w-set covered by at most t blocks has covers sharing no
+    block; only w-subsets of such a union can have a cover."""
+    seen = set()
+    for k in range(1, t + 1):
+        for coal in combinations(range(s.m), k):
+            union = sorted(set().union(*(s.blocks[j] for j in coal)))
+            for pts in combinations(union, s.w):
+                if pts not in seen:
+                    seen.add(pts)
+                    if not set.intersection(*brute_covers(s, t, pts)):
+                        return True
+    return False
+
+
+@given(st.one_of(*map(_relabeled_subfamily, GEOMETRIES), wide_systems()), st.integers(2, 3))
+def test_ipps_certificate_never_settles_a_violated_system(s, t):
+    out = verify_ipps(s, t)
+    found = _ipps_ambiguity(*_ipps_selections(s.masks, t, _Work()), s.w, _Work())
+    assert out.holds == (found is None)
+    if out.detail.startswith("pairwise intersections"):
+        assert out.holds and not brute_ambiguous(s, t)
+        assert out.work == s.m + comb(s.m, 2)
+
+
+def test_ipps_of_a_packing_lists_no_triple():
+    # Lines of the unital on 65 points and of PG(2, 16) meet in one point,
+    # below ceil(w/t^2) = 2: each is a t-TS, so a t-IPPS, from its 208 + C(208, 2)
+    # and 273 + C(273, 2) single and pair selections.  The walk took 61.8M work
+    # on the unital, and PG(2, 16) at t = 4 has 2.3e8 selections to list.
+    for s, t, work in ((hermitian_unital(4), 2, 21_736), (pg_lines(2, 16), 4, 37_401)):
+        # The best of three calls, so that a busy host does not fail the bound.
+        assert min(timeit.repeat(lambda: verify_ipps(s, t), number=1, repeat=3)) < 0.1
+        out = verify_ipps(s, t)
+        assert (out.verdict, out.mode, out.work) == ("holds", "exhaustive", work)
+        assert out.detail == f"pairwise intersections below 2 certify a {t}-TS, so a {t}-IPPS"
+        assert verify_ipps_star(s, t) == out
+
+
 @given(wide_systems(), st.integers(1, 3), st.integers(0, 2000))
 def test_ipps_budget_is_sound(s, t, budget):
     full = verify_ipps(s, t)
@@ -857,7 +920,8 @@ def test_ipps_outcomes_and_work_are_pinned():
     # Verdicts, witnesses and work of the walk on seeded random systems, 67
     # of them stopped by the small budget.  Work is CLI output, and it pins
     # the walk's order: a walk that skipped a point after backtracking still
-    # finds every witness here, but counts less.
+    # finds every witness here, but counts less.  Three systems of two
+    # disjoint blocks are settled by the pairwise certificate at work 3.
     rng = random.Random(3)
     h = hashlib.sha256()
     for _ in range(300):
@@ -866,7 +930,7 @@ def test_ipps_outcomes_and_work_are_pinned():
         for t in (2, 3):
             for budget in (10**9, 300):
                 h.update(repr(verify_ipps(s, t, budget)).encode())
-    assert h.hexdigest() == "4a72dcdb56e5e61aa8b6a7518a2c86fa9cd8b05a1bb73e8212314454eced2296"
+    assert h.hexdigest() == "f364c6e0d47adf575555a5e483d6217fb99926e5372ac334d6020853998fba32"
 
 
 @given(small_systems(), st.integers(1, 3))
