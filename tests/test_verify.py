@@ -933,6 +933,34 @@ def test_ipps_outcomes_and_work_are_pinned():
     assert h.hexdigest() == "f364c6e0d47adf575555a5e483d6217fb99926e5372ac334d6020853998fba32"
 
 
+def test_cff_and_ts_outcomes_and_work_are_pinned():
+    # Verdicts, witnesses and work of the cover search and the TS walk on
+    # seeded random systems, 243 TS walks of them stopped by the small
+    # budget.  Work is CLI output, and it pins the order in which both
+    # searches meet their nodes.
+    rng = random.Random(5)
+    h = hashlib.sha256()
+    for _ in range(300):
+        v = rng.randrange(4, 11)
+        s = _random_system(rng, v, rng.randrange(2, min(v, 5)), rng.randrange(2, 11))
+        for t in (2, 3, 4):
+            for budget in (10**9, 40):
+                h.update(repr(verify_cff(s, t, budget)).encode())
+                h.update(repr(verify_ts(s, t, budget=budget)).encode())
+    assert h.hexdigest() == "86f02aefbdfbd61017aaec252d0bfd5b79879509bcde0a9318820be07c188a67"
+
+
+def test_search_witnesses_are_pinned():
+    # Which cover the extension check finds decides the nodes; the witness
+    # family is the first maximum family of the walk.
+    cff = exhaustive_optimal(SchemeParams(2, 3, 7), "cff")
+    assert (cff.nodes_explored, cff.witness_family.blocks) == (
+        7281, ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)))
+    ts = exhaustive_optimal(SchemeParams(2, 4, 7), "ts")
+    assert (ts.nodes_explored, ts.witness_family.blocks) == (
+        916, ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5), (0, 1, 2, 6)))
+
+
 @given(small_systems(), st.integers(1, 3))
 def test_cff_kernel_matches_definition(s, t):
     out = verify_cff(s, t)
