@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, floor, ceil
 
-from .core import ParamsInvalid, SchemeParams, _ceil_div
+from .core import ParamsInvalid, SchemeParams, _ceil_div, _check_ground_set
 
 
 class InconsistentBounds(Exception):
@@ -232,6 +232,7 @@ _CONJECTURE_NOTE = ("conjectured (not proven) to be exact up to a constant "
 
 def bound_report(p: SchemeParams, scheme: str) -> BoundReport:
     """All applicable bounds for one scheme kind, with a consistency check."""
+    _check_ground_set(p.v)  # the entries grow with v, past what prints as decimal
     if scheme == "ts":
         entries = [ts_upper_sw(p), ts_upper_collins(p), ts_upper_general(p),
                    ts_upper_special(p), ts_exact_small(p),

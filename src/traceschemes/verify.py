@@ -14,6 +14,11 @@ property from that packing condition or from a design-extension
 certificate, and says "inconclusive" otherwise; IPPS needs no such mode,
 since its certificate costs nothing beyond the exhaustive decision.
 
+Every depth-first search here, over CFF covers, TS coalitions, TS cell
+packings and IPPS point sets, is a loop over an explicit stack, so no input
+is too deep for the recursion limit; each counts its nodes in a local and
+adds them to the work counter when it ends.
+
 Every violation is reported as a structured witness that re-validates
 against the raw system by direct recomputation (see :func:`check_witness`),
 independent of any verifier state.
@@ -230,33 +235,39 @@ def _find_cover(masks, pb: list[list[int]], target_mask: int, limit: int, w: int
     """
     nodes = 1  # one per selection tried, the empty one included
     room = work.budget - work.count
-
-    def rec(chosen: tuple[int, ...], rest: int) -> tuple[int, ...] | None:
-        # A selection that covers, or that the blocks left cannot complete,
-        # is settled here in its parent's loop instead of by a call.
-        nonlocal nodes
-        reach = (limit - len(chosen) - 1) * w  # points the blocks after b can add
-        p = (rest & -rest).bit_length() - 1
-        for b in pb[p]:
-            if b != skip and b not in chosen:
-                nodes += 1
-                if nodes > room:
-                    raise _BudgetStop
-                left = rest & ~masks[b]
-                if left == 0:
-                    return chosen + (b,)
-                if left.bit_count() <= reach:
-                    got = rec(chosen + (b,), left)
-                    if got is not None:
-                        return got
-        return None
-
     try:
         if nodes > room:
             raise _BudgetStop
         if target_mask.bit_count() > limit * w:
             return None
-        return rec((), target_mask) if target_mask else ()
+        if not target_mask:
+            return ()
+        chosen: list[int] = []
+        # stack[k]: the points the first k blocks of chosen leave uncovered,
+        # and the untried blocks through the lowest of them.  A selection that
+        # covers, or that the blocks left cannot complete, is settled in its
+        # parent's loop.
+        stack = [(target_mask, iter(pb[(target_mask & -target_mask).bit_length() - 1]))]
+        while stack:
+            rest, blocks = stack[-1]
+            reach = (limit - len(chosen) - 1) * w  # points the blocks after b can add
+            for b in blocks:
+                if b != skip and b not in chosen:
+                    nodes += 1
+                    if nodes > room:
+                        raise _BudgetStop
+                    left = rest & ~masks[b]
+                    if left == 0:
+                        return (*chosen, b)
+                    if left.bit_count() <= reach:
+                        chosen.append(b)
+                        stack.append((left, iter(pb[(left & -left).bit_length() - 1])))
+                        break
+            else:
+                stack.pop()
+                if chosen:
+                    chosen.pop()
+        return None
     finally:
         work.count += nodes
 
@@ -284,18 +295,27 @@ def verify_cff(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOutc
 
 
 def _coalitions_lex(m: int, t: int):
-    """All index tuples of size 2..t over range(m), in lexicographic order."""
+    """All index tuples of size 2..t over range(m), in lexicographic order.
 
-    def rec(prefix: tuple[int, ...], start: int):
-        for nxt in range(start, m):
-            tup = prefix + (nxt,)
-            if len(tup) >= 2:
-                yield tup
-            if len(tup) < t:
-                yield from rec(tup, nxt + 1)
-
-    if t >= 2 and m >= 2:
-        yield from rec((), 0)
+    Each tuple, size-1 prefixes included, follows the one before by
+    appending its last index + 1, else by raising its last index, else by
+    dropping that index (it is m - 1) and raising the one before.
+    """
+    if t < 2 or m < 2:
+        return
+    c = [0]
+    while True:
+        if len(c) < t and c[-1] + 1 < m:
+            c.append(c[-1] + 1)
+        elif c[-1] + 1 < m:
+            c[-1] += 1
+        else:
+            c.pop()
+            if not c:
+                return
+            c[-1] += 1
+        if len(c) >= 2:
+            yield tuple(c)
 
 
 def _ts_packs(cells, caps: list[int], keep: int, need: int, work: _Work) -> bool:
@@ -304,7 +324,7 @@ def _ts_packs(cells, caps: list[int], keep: int, need: int, work: _Work) -> bool
     ``cells`` are (members, points) Venn cells of points in two or more
     members; each point picked uses one unit of ``caps[i]`` for every member
     i through it.  Counts per cell are searched depth first, larger first,
-    one work unit per node.
+    one work unit per node; ``caps`` are as they were on return.
     """
     multi = []
     for members, cell in cells:
@@ -316,33 +336,38 @@ def _ts_packs(cells, caps: list[int], keep: int, need: int, work: _Work) -> bool
         left[j] = left[j + 1] + multi[j][1]
     nodes = 0
     room = work.budget - work.count
-
-    def fits(j: int, need: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > room:
-            raise _BudgetStop
-        # Every point picked uses at least two units of cap.
-        if left[j] < need or 2 * need > sum(caps):
-            return False
-        members, size = multi[j]
-        top = min(size, need, *(caps[i] for i in members))
-        if top == need:
-            return True
-        for y in range(top, max(0, need - left[j + 1]) - 1, -1):
-            for i in members:
-                caps[i] -= y
-            ok = fits(j + 1, need - y)
-            for i in members:
-                caps[i] += y
-            if ok:
-                return True
-        return False
-
+    stack = []  # (cell, count taken from it, least count to take from it)
+    j = 0
     try:
-        return fits(0, need)
+        while True:
+            nodes += 1
+            if nodes > room:
+                raise _BudgetStop
+            y = lo = 0  # the counts left to try at cell j: y - 1 down to lo
+            # Every point picked uses at least two units of cap.
+            if left[j] >= need and 2 * need <= sum(caps):
+                members, size = multi[j]
+                top = min(size, need, *(caps[i] for i in members))
+                if top == need:
+                    return True
+                y, lo = top + 1, max(0, need - left[j + 1])
+            while y <= lo:  # none left: undo the count taken at the cell before
+                if not stack:
+                    return False
+                j, y, lo = stack.pop()
+                for i in multi[j][0]:
+                    caps[i] += y
+                need += y
+            y -= 1
+            for i in multi[j][0]:
+                caps[i] -= y
+            stack.append((j, y, lo))
+            j, need = j + 1, need - y
     finally:
         work.count += nodes
+        for cell, y, _ in stack:
+            for i in multi[cell][0]:
+                caps[i] += y
 
 
 def _ts_evader(masks, coalition: tuple[int, ...], outsiders: list[int], w: int,
@@ -408,9 +433,9 @@ def _ts_evader(masks, coalition: tuple[int, ...], outsiders: list[int], w: int,
             return o
         if cells is None:
             cells = [((), shared)]
-            for i, b in enumerate(coal_masks):
-                cells = [(c, p & ~b) for c, p in cells] + [(c + (i,), p & b) for c, p in cells]
-            cells = [(c, p) for c, p in cells if p]
+            for i, b in enumerate(coal_masks):  # split where points lie
+                cells = ([(c, p & ~b) for c, p in cells if p & ~b]
+                         + [(c + (i,), p & b) for c, p in cells if p & b])
         if _ts_packs(cells, caps, keep, need, work):
             return o
     return None

@@ -10,7 +10,13 @@ from pathlib import Path
 from hypothesis import given
 from hypothesis import strategies as st
 
-from traceschemes import new_set_system, parse_set_system, render_set_system
+from traceschemes import (
+    new_set_system,
+    parse_set_system,
+    render_set_system,
+    verify_cff,
+    verify_ts,
+)
 from traceschemes.cli import main
 
 
@@ -110,6 +116,22 @@ def test_bound_table(capsys):
 def test_bound_rejects_bad_params(capsys):
     assert main(["bound", "--t", "2", "--w", "9", "--v", "5"]) == 2
     capsys.readouterr()
+
+
+def test_bound_ground_set_is_capped(capsys):
+    # Past the cap the entries have more digits than Python prints as decimal;
+    # at the cap the largest, C(4096, 2048) and kin, have under 2,500.
+    for scheme in ("ts", "cff", "ipps"):
+        assert main(["bound", "--t", "2", "--w", "20000", "--v", "40000",
+                     "--scheme", scheme]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ground set size 40000 exceeds cap 4096\n"
+        assert main(["bound", "--t", "2", "--w", "2048", "--v", "4096",
+                     "--scheme", scheme]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("upper-")
+        assert captured.err.startswith(f"bound scheme={scheme} t=2 w=2048 v=4096 range [2049, ")
 
 
 def test_search_command(capsys):
@@ -365,6 +387,51 @@ def test_wide_inputs_end_without_internal_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: ground set size 4097 exceeds cap 4096\n"
+
+
+def test_deep_searches_end_without_internal_error(tmp_path, capsys):
+    # Block 0 is {0..1049}; block i is {i - 1} plus the 1,049 points from
+    # 1050 on.  Covering block 0 takes all 1,050 others, one block per level
+    # of the cover search; the trace at t = 33 asks for covers of up to
+    # t^2 = 1,089 blocks.
+    deep = new_set_system(2099, [range(1050)] + [[i, *range(1050, 2099)] for i in range(1050)])
+    path = tmp_path / "deep.ss"
+    path.write_text(render_set_system(deep), encoding="utf-8")
+
+    def run(argv, code):
+        assert main(argv) == code, argv
+        captured = capsys.readouterr()
+        assert "internal error" not in captured.err
+        return captured.out
+
+    out = run(["verify", "--property", "cff", "--t", "1050", str(path)], 1)
+    first, rest = out.split("\n", 1)
+    assert first == "verify property=cff t=1050 mode=exhaustive verdict=violated work=1051"
+    assert rest == ("witness cff-cover\nstrength 1050\ntarget 0\ncover "
+                    + " ".join(map(str, range(1, 1051))) + "\n")
+    wit = tmp_path / "deep.wit"
+    wit.write_text(rest, encoding="utf-8")
+    assert main(["check-witness", str(path), str(wit)]) == 0
+    assert capsys.readouterr().out == "witness valid: cover verified\n"
+    out = run(["verify", "--property", "cff", "--t", "1049", str(path)], 1)
+    assert out == ("verify property=cff t=1049 mode=exhaustive verdict=violated work=1053\n"
+                   "witness cff-cover\nstrength 1049\ntarget 1\ncover 0 2\n")
+    out = run(["trace", "--kind", "ts-from-cff", "--t", "33", str(path)], 3)
+    assert out.startswith("trace ts-from-cff blocked\nstep private-points\n")
+    # Coalitions of up to 1,049 one-point blocks, walked until the budget ends.
+    ones = new_set_system(1050, [[i] for i in range(1050)])
+    path = tmp_path / "ones.ss"
+    path.write_text(render_set_system(ones), encoding="utf-8")
+    out = run(["verify", "--property", "ts", "--t", "1049", "--mode", "exhaustive",
+               "--budget", "5000", str(path)], 3)
+    assert out.startswith("verify property=ts t=1049 mode=exhaustive verdict=inconclusive "
+                          "work=5001\n")
+    # The searches themselves, without parsing the 1.1M-incidence file.
+    for decide in (lambda: verify_cff(deep, 1050), lambda: verify_cff(deep, 1049),
+                   lambda: verify_cff(deep, 33 * 33), lambda: verify_ts(ones, 1049, budget=5000)):
+        start = time.perf_counter()
+        decide()
+        assert time.perf_counter() - start < 2.0
 
 
 def test_over_cap_inputs_stop_before_any_work(capsys):

@@ -1,15 +1,19 @@
 """Verifiers against literal brute-force oracles and known instances."""
 
+import ast
 import hashlib
 import random
+import time
 import timeit
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import traceschemes
 from traceschemes import (
     CffCover,
     IppsAmbiguity,
@@ -40,6 +44,7 @@ from traceschemes.core import FormatError, _ceil_div, _points, _union
 from traceschemes.oracle import _ipps_push
 from traceschemes.verify import (
     _BudgetStop,
+    _coalitions_lex,
     _ipps_ambiguity,
     _ipps_levels,
     _overlaps,
@@ -648,6 +653,51 @@ def test_ts_packs_matches_brute_force(case):
     left = list(caps)
     assert _ts_packs(cells, left, -1, need, _Work(10**9)) == brute
     assert left == caps
+
+
+def test_ts_packs_goes_one_cell_deeper_per_point():
+    # Every cell gives one point, so the search is 1,100 cells deep.
+    cells = [(members, 1 << j) for j, members in enumerate(islice(combinations(range(16), 12),
+                                                                  1100))]
+    caps = [10**6] * 16
+    work = _Work(10**9)
+    assert _ts_packs(cells, caps, -1, 1100, work)
+    assert caps == [10**6] * 16
+    assert work.count == 1100
+
+
+def test_coalitions_come_in_lexicographic_order():
+    for m in range(8):
+        for t in range(6):
+            assert list(_coalitions_lex(m, t)) == sorted(
+                c for k in range(2, t + 1) for c in combinations(range(m), k)), (m, t)
+
+
+def test_ts_evader_splits_venn_cells_only_where_points_lie():
+    # Thirty circulant blocks of ten points, each point in two of them, and
+    # an outsider holding five points of the union: 30 non-empty cells of
+    # 2**30.  The outsider evades with five more points of one cell.
+    k = 30
+    out = (0, 1, 2, 3, 4, *range(5 * k, 5 * k + 5))
+    s = new_set_system(5 * k + 5, [sorted((5 * i + d) % (5 * k) for d in range(10))
+                                   for i in range(k)] + [out])
+    o = s.blocks.index(out)
+    coalition = tuple(i for i in range(s.m) if i != o)
+    start = time.perf_counter()
+    assert _ts_evader(s.masks, coalition, [o], s.w, _Work(10**9)) == o
+    assert time.perf_counter() - start < 1.0
+
+
+def test_no_function_calls_itself():
+    # Every search is a loop over an explicit stack, so no input is too
+    # deep for the recursion limit.
+    package = Path(traceschemes.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Name) and node.func.id == fn.name]
+                assert not calls, f"{path.name}: {fn.name} calls itself at line {calls[0]}"
 
 
 @st.composite
