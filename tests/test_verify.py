@@ -1000,6 +1000,32 @@ def test_cff_and_ts_outcomes_and_work_are_pinned():
     assert h.hexdigest() == "86f02aefbdfbd61017aaec252d0bfd5b79879509bcde0a9318820be07c188a67"
 
 
+def _outcome(verdict, work, witness=None, detail=""):
+    return repr(traceschemes.VerifyOutcome(verdict, "exhaustive", witness, detail, work))
+
+
+def test_ts_ladder_outcomes_and_work_are_pinned():
+    # The TS rungs of the work ladder (bench/ladder.py): verdict, witness and
+    # work of the exhaustive walk, two of them stopped by their budget.
+    pg9 = extend_design(pg_lines(2, 9), 8, 3)[0]
+    rungs = [
+        (trivial_ts(30, 5), 3, 10**9, _outcome("holds", 73255)),
+        (extend_design(pg_lines(2, 4), 1, 2)[0], 2, 10**9, _outcome("holds", 5166)),
+        (hermitian_unital(4), 2, 10**9, _outcome("holds", 38168)),
+        (pg9, 3, 10**9, _outcome("holds", 11256063)),
+        (pg9, 4, 10**9, _outcome("violated", 8063, TsEvasion(
+            coalition=(0, 1, 2, 3),
+            pirate=(0, 1, 2, 3, 10, 11, 12, 19, 20, 21, 28, 29, 30, 91, 92, 93, 94, 95),
+            outsider=10))),
+        (extend_design(pg_lines(2, 16), 1, 4)[0], 4, 5_000_000,
+         _outcome("inconclusive", 5000005, detail="BudgetExceeded")),
+        (trivial_ts(1200, 2), 1100, 200_000,
+         _outcome("inconclusive", 200347, detail="BudgetExceeded")),
+    ]
+    for s, t, budget, expected in rungs:
+        assert repr(verify_ts(s, t, budget=budget)) == expected, (s.v, s.w, t)
+
+
 def test_search_witnesses_are_pinned():
     # Which cover the extension check finds decides the nodes; the witness
     # family is the first maximum family of the walk.
