@@ -1,0 +1,149 @@
+"""The work ladder: fixed exhaustive TS instances, each under a work and a time cap.
+
+Usage, from the repository root:
+
+    python bench/ladder.py --out BENCH_13.json [--rungs NAME,NAME,...]
+    python bench/ladder.py --compare BENCH_12.json BENCH_13.json
+
+Each run of a rung is a child process of this script (``--run NAME``) that
+builds the system from ``src/`` next to this file, decides it with
+``verify_ts`` at the rung's work cap as budget, and prints one JSON line.
+A rung runs three times, or once when its first run takes over 5 s; its
+wall time is the median of the in-process times of ``verify_ts``.  A rung
+that stops at its work cap (verdict inconclusive) or is killed at its time
+cap is recorded as ``gave-up``; the first keeps the work it reached.
+
+``--compare`` prints the work and wall-time deltas per rung and exits 1
+only if a verdict or a hash of verdict and witness differs between two
+rungs that both ended within their time cap.  Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SLOW_S = 5.0  # a rung whose first run takes longer runs once
+SCHEMA = 1
+
+# name: (instance, built by eval over traceschemes' names, strength t,
+#        work cap passed as budget, time cap per run in seconds)
+RUNGS = {
+    "ts-trivial-30-5-t3": ("trivial_ts(30, 5)", 3, 10**7, 60),
+    "ts-extend-pg24-d1-t2": ("extend_design(pg_lines(2, 4), 1, 2)[0]", 2, 10**7, 60),
+    "ts-hermitian-4-t2": ("hermitian_unital(4)", 2, 10**7, 60),
+    "ts-extend-pg29-d8-t3": ("extend_design(pg_lines(2, 9), 8, 3)[0]", 3, 5 * 10**7, 120),
+    "ts-extend-pg29-d8-t4": ("extend_design(pg_lines(2, 9), 8, 3)[0]", 4, 10**7, 60),
+    "ts-extend-pg216-d1-t4": ("extend_design(pg_lines(2, 16), 1, 4)[0]", 4, 5 * 10**6, 120),
+    "ts-trivial-1200-2-t1100": ("trivial_ts(1200, 2)", 1100, 2 * 10**5, 60),
+}
+
+
+def run_rung(name: str) -> dict:
+    """Build and decide one rung in this process (the child's side)."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import traceschemes
+
+    instance, t, work_cap, _ = RUNGS[name]
+    system = eval(instance, dict(vars(traceschemes)))
+    start = time.perf_counter()
+    out = traceschemes.verify_ts(system, t, budget=work_cap)
+    seconds = time.perf_counter() - start
+    text = out.verdict + "\n"
+    if out.witness is not None:
+        text += traceschemes.render_witness(out.witness)
+    return {"verdict": out.verdict, "work": out.work, "seconds": seconds,
+            "hash": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def measure(name: str) -> dict:
+    """Run one rung in child processes and summarize it."""
+    instance, t, work_cap, time_cap = RUNGS[name]
+    record = {"name": name, "instance": instance, "t": t, "work_cap": work_cap,
+              "time_cap_s": time_cap, "python": platform.python_version(),
+              "nproc": os.cpu_count()}
+    first, times = None, []
+    while len(times) < 3:
+        try:
+            proc = subprocess.run([sys.executable, __file__, "--run", name], check=True,
+                                  capture_output=True, text=True, timeout=time_cap)
+        except subprocess.TimeoutExpired:
+            record.update(status="gave-up", reason="time cap", verdict=None, complete=False,
+                          hash=None, work=None, wall_s=None, runs=len(times))
+            return record
+        got = json.loads(proc.stdout)
+        times.append(got.pop("seconds"))
+        if first is None:
+            first = got
+        elif got != first:
+            raise RuntimeError(f"{name}: runs disagree: {first} then {got}")
+        if times[0] > SLOW_S:
+            break
+    complete = first["verdict"] != "inconclusive"
+    record.update(status="done" if complete else "gave-up",
+                  reason=None if complete else "work cap", complete=complete, **first,
+                  wall_s=round(statistics.median(times), 6), runs=len(times))
+    return record
+
+
+def compare(old_path: str, new_path: str) -> int:
+    old = {r["name"]: r for r in json.loads(Path(old_path).read_text())["rungs"]}
+    new = {r["name"]: r for r in json.loads(Path(new_path).read_text())["rungs"]}
+    changed = 0
+    for name in [*old, *(n for n in new if n not in old)]:
+        if name not in old or name not in new:
+            print(f"{name}: only in {old_path if name in old else new_path}")
+            continue
+        a, b = old[name], new[name]
+        line = f"{name}: {a['status']} -> {b['status']}, verdict {a['verdict']} -> {b['verdict']}"
+        if a["work"] is not None and b["work"] is not None:
+            line += f", work {a['work']:,} -> {b['work']:,} ({b['work'] - a['work']:+,})"
+        if a["wall_s"] and b["wall_s"]:
+            line += (f", wall {a['wall_s']:.4f} -> {b['wall_s']:.4f} s"
+                     f" ({b['wall_s'] / a['wall_s'] - 1:+.1%})")
+        if a["verdict"] is not None and b["verdict"] is not None \
+                and (a["verdict"], a["hash"]) != (b["verdict"], b["hash"]):
+            line += "  VERDICT OR HASH CHANGED"
+            changed += 1
+        print(line)
+    return 1 if changed else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--out", help="write the ladder's JSON here")
+    group.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
+    group.add_argument("--run", choices=sorted(RUNGS), help=argparse.SUPPRESS)
+    parser.add_argument("--rungs", help="comma-separated rung names (default: all)")
+    args = parser.parse_args(argv)
+    if args.run:
+        print(json.dumps(run_rung(args.run)))
+        return 0
+    if args.compare:
+        return compare(*args.compare)
+    names = args.rungs.split(",") if args.rungs else list(RUNGS)
+    unknown = [n for n in names if n not in RUNGS]
+    if unknown:
+        parser.error(f"unknown rungs: {', '.join(unknown)}")
+    rungs = []
+    for name in names:
+        rungs.append(measure(name))
+        r = rungs[-1]
+        print(f"{name}: {r['status']} {r['verdict']} work={r['work']} wall_s={r['wall_s']}",
+              file=sys.stderr)
+    Path(args.out).write_text(json.dumps({"schema": SCHEMA, "rungs": rungs}, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -168,7 +168,7 @@ def _cmd_trace(args) -> int:
         trace = oracle_mod.ts_violation_from_cff_failure(system, args.t, cff.witness)
         sys.stdout.write(oracle_mod.render_trace_ts(trace))
         return EXIT_INCONCLUSIVE if isinstance(trace, oracle_mod.TraceBlocked) else EXIT_OK
-    trace = oracle_mod.ipps_violation_from_missing_own_subsets(system, args.t)
+    trace = oracle_mod.ipps_violation_from_missing_own_subsets(system, args.t, args.budget)
     sys.stdout.write(oracle_mod.render_trace_ipps(trace))
     return EXIT_INCONCLUSIVE if isinstance(trace, oracle_mod.TraceBlocked) else EXIT_OK
 

@@ -41,6 +41,7 @@ from .core import (
     new_set_system,
 )
 from .verify import (
+    DEFAULT_BUDGET,
     CffCover,
     IppsAmbiguity,
     TsEvasion,
@@ -320,14 +321,16 @@ def ts_violation_from_cff_failure(s: SetSystem, t: int,
 # missing own-subsets -> parent ambiguity
 
 
-def ipps_violation_from_missing_own_subsets(s: SetSystem,
-                                            t: int) -> ProofTraceIpps | TraceBlocked:
+def ipps_violation_from_missing_own_subsets(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET
+                                            ) -> ProofTraceIpps | TraceBlocked:
     """Build a parent ambiguity when no block has a small own-subset.
 
     Requires every block to lack ceil(w / (floor(t^2/4) + t))-own-subsets;
     then walks the selection loop (overlap chunks A_i covered by few other
     blocks, linking sets D_i leading to fresh blocks) and assembles a
-    pirate set whose parent sets have empty intersection.
+    pirate set whose parent sets have empty intersection.  ``budget`` caps
+    the nodes of its cover searches together; a search it stops blocks the
+    trace at that search's step.
     """
     if t < 2:
         raise ParamsInvalid(f"strength t={t} must be >= 2")
@@ -342,7 +345,8 @@ def ipps_violation_from_missing_own_subsets(s: SetSystem,
             return TraceBlocked(step="precondition",
                                 detail=f"block {i} has a {k}-own-subset")
     pb = _point_blocks(s)
-    work = _Work()  # at most t cover searches with at most t blocks each
+    work = _Work(budget)
+    over_budget = f"cover search exceeded its budget of {budget} work units"
 
     selected = [0]
     a_sets: list[tuple[int, ...]] = []
@@ -359,7 +363,10 @@ def ipps_violation_from_missing_own_subsets(s: SetSystem,
                                        f"need {size_a}")
         a_i = tuple(pool[:size_a])
         am = _mask(a_i)
-        cov = _find_cover(s.masks, pb, am, hu, w, work, bi)
+        try:
+            cov = _find_cover(s.masks, pb, am, hu, w, work, bi)
+        except _BudgetStop:
+            return TraceBlocked(step=f"C{i}-cover", detail=over_budget)
         if cov is None:
             return TraceBlocked(step=f"C{i}-cover",
                                 detail=f"overlap chunk of block {bi} has no small cover")
@@ -402,7 +409,10 @@ def ipps_violation_from_missing_own_subsets(s: SetSystem,
     am = _mask(a_last)
     cov_last: tuple[int, ...] | None = ()
     if a_last:
-        cov_last = _find_cover(s.masks, pb, am, hu, w, work, b_last)
+        try:
+            cov_last = _find_cover(s.masks, pb, am, hu, w, work, b_last)
+        except _BudgetStop:
+            return TraceBlocked(step=f"C{hd + 1}-cover", detail=over_budget)
         if cov_last is None:
             return TraceBlocked(step=f"C{hd + 1}-cover",
                                 detail="final chunk has no small cover")

@@ -4,15 +4,18 @@ Five properties are decided: tau-design, tau-packing, strength-t cover-free
 family (CFF), strength-t parent-identifying set system (IPPS, plus its
 variant over pirate sets larger than one block width), and strength-t
 traceability scheme (TS).  Exhaustive mode covers the full quantifier
-space and is decisive; for TS it decides whether some pirate set evades a
-coalition by counting overlaps, and builds the witness's pirate set a
-point at a time by the same counting; for IPPS it first reads the
-pairwise-intersection packing condition off the pair unions it lists
-anyway (a t-TS is a t-IPPS), and otherwise extends ambiguous point sets
-depth first, a point at a time.  Certified mode, for TS only, proves the
-property from that packing condition or from a design-extension
-certificate, and says "inconclusive" otherwise; IPPS needs no such mode,
-since its certificate costs nothing beyond the exhaustive decision.
+space and is decisive.  For TS it first drops every outsider of a
+coalition that cannot overlap the union enough, all at once, by
+big-integer sums of overlap counts packed one field per block; it then
+decides whether some pirate set evades the coalition by counting overlaps,
+and builds the witness's pirate set a point at a time by the same
+counting.  For IPPS it first reads the pairwise-intersection packing
+condition off the pair unions it lists anyway (a t-TS is a t-IPPS), and
+otherwise extends ambiguous point sets depth first, a point at a time.
+Certified mode, for TS only, proves the property from that packing
+condition or from a design-extension certificate, and says "inconclusive"
+otherwise; IPPS needs no such mode, since its certificate costs nothing
+beyond the exhaustive decision.
 
 Every depth-first search here, over CFF covers, TS coalitions, TS cell
 packings and IPPS point sets, is a loop over an explicit stack, so no input
@@ -145,13 +148,14 @@ def _point_blocks(s: SetSystem) -> list[list[int]]:
     return pb
 
 
-def _overlaps(s: SetSystem, work: _Work):
+def _overlaps(s: SetSystem, work: _Work, pb: list[list[int]] | None = None):
     """For each block i in turn, a Counter of |B_i & B_j| over the j != i meeting B_i.
 
-    Counted through the point -> blocks index, so block i costs the sum of
-    its points' degrees, one work unit each, paid before its Counter is built.
+    Counted through the point -> blocks index ``pb`` (built here if not
+    given), so block i costs the sum of its points' degrees, one work unit
+    each, paid before its Counter is built.
     """
-    pb = _point_blocks(s)
+    pb = _point_blocks(s) if pb is None else pb
     for i, b in enumerate(s.blocks):
         lists = [pb[p] for p in b]
         work.tick(sum(map(len, lists)))
@@ -466,6 +470,61 @@ def _ts_witness(masks, coalition: tuple[int, ...], outsiders: list[int], w: int,
     return None if found is None else (tuple(_points(prefix)), found)
 
 
+class _PackedCounts:
+    """Overlap counts of every block with a coalition, packed into integers.
+
+    Block o owns field o, ``width`` bits wide, whose top bit is a guard.
+    ``col(p)`` has 1 in the field of each block through point p, so a sum
+    of cols over a point set P holds |B_o & P| in field o, for all o at
+    once; ``row(i)``, the sum over B_i, holds |B_o & B_i|.  Both are built
+    on first use.  A coalition's state is (U, A, S, G): its union, the sum
+    of cols over U, the sum of its members' rows, and the guard bits of the
+    blocks outside it; adding a member costs one col per new point of U.
+    """
+
+    __slots__ = ("masks", "pb", "width", "half", "ones", "empty", "cols", "rows")
+
+    def __init__(self, s: SetSystem, t: int, pb: list[list[int]]) -> None:
+        self.masks = s.masks
+        self.pb = pb
+        # A field holds at most (k + 1) * w below its guard, for k <= min(t, m).
+        self.width = ((min(t, s.m) + 1) * s.w).bit_length() + 1
+        self.half = 1 << (self.width - 1)
+        self.ones = ((1 << self.width * s.m) - 1) // ((1 << self.width) - 1)
+        self.empty = (0, 0, 0, self.half * self.ones)
+        self.cols: dict[int, int] = {}
+        self.rows: dict[int, int] = {}
+
+    def col(self, p: int) -> int:
+        c = self.cols.get(p)
+        if c is None:
+            c = self.cols[p] = sum(1 << self.width * o for o in self.pb[p])
+        return c
+
+    def row(self, i: int) -> int:
+        r = self.rows.get(i)
+        if r is None:
+            r = self.rows[i] = sum(map(self.col, _points(self.masks[i])))
+        return r
+
+    def extend(self, state: tuple[int, int, int, int], i: int) -> tuple[int, int, int, int]:
+        """The state of a coalition once block i joins it."""
+        u, a, sums, guards = state
+        a += sum(map(self.col, _points(self.masks[i] & ~u)))
+        return u | self.masks[i], a, sums + self.row(i), guards & ~(self.half << self.width * i)
+
+    def survivors(self, state: tuple[int, int, int, int], k: int, w: int, least: int) -> int:
+        """Guard bits of the outsiders of a k-member coalition that pass
+        :func:`_ts_evader`'s first two tests: a = |O & U| >= ``least`` and
+        sum_i (a - |O & B_i|) >= w - a, that is (k + 1) a - sum_i |O & B_i| >= w
+        (which a >= w implies).  Each field is offset by half its range, so
+        it stays in [0, 2^width) and no borrow crosses into the next.
+        """
+        _, a, sums, guards = state
+        return ((k + 1) * a + (self.half - w) * self.ones - sums) \
+            & (a + (self.half - least) * self.ones) & guards
+
+
 def _extension_certificate_holds(s: SetSystem, t: int, cert) -> tuple[bool, str]:
     """Re-derive the design-extension argument from the raw system.
 
@@ -507,15 +566,18 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
 
     Exhaustive mode checks every coalition of 2..t blocks against every
     outside block (size-1 coalitions cannot be evaded because blocks are
-    distinct).  A coalition no outsider can overlap enough is skipped; for
-    the others, whether some pirate set lets an outsider evade is decided
-    by counting overlaps (:func:`_ts_evader`); for the first evaded
-    coalition, :func:`_ts_witness` builds the lexicographically first
-    pirate set from the same counts, without listing w-subsets of the
-    union.  Certified mode accepts a pairwise intersection bound (every two
-    blocks share < ceil(w/t^2) points, checked up to the first pair that
-    does not) or a design-extension certificate, and is otherwise
-    inconclusive.
+    distinct).  A coalition no outsider can overlap enough is skipped, first
+    by the members' largest overlaps, then by :class:`_PackedCounts`, which
+    applies :func:`_ts_evader`'s first tests to all outsiders at once and
+    counts the m - |C| units that scan would; its state for each prefix of
+    the coalition is kept down the walk.  For the others, whether some
+    pirate set lets an outsider evade is decided by counting overlaps
+    (:func:`_ts_evader`); for the first evaded coalition, :func:`_ts_witness`
+    builds the lexicographically first pirate set from the same counts,
+    without listing w-subsets of the union.  Certified mode accepts a
+    pairwise intersection bound (every two blocks share < ceil(w/t^2)
+    points, checked up to the first pair that does not) or a
+    design-extension certificate, and is otherwise inconclusive.
     """
     if t < 1:
         raise ParamsInvalid(f"strength t={t} must be >= 1")
@@ -549,14 +611,27 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
     # An outsider O needs |O & U| >= ceil(w / |C|), and |O & U| is at most
     # the sum of the members' largest overlaps with any other block.
     least = [0] + [_ceil_div(w, k) for k in range(1, min(t, s.m) + 1)]
+    pb = _point_blocks(s)
+    packed = None
+    chain = []  # chain[j]: the packed state of the coalition's first j + 1 members
     try:
-        maxima = (max(counts.values(), default=0) for counts in _overlaps(s, work))
+        maxima = (max(counts.values(), default=0) for counts in _overlaps(s, work, pb))
         rowmax: list[int] = []
         for coalition in _coalitions_lex(s.m, t):
             work.tick()
+            k = len(coalition)
+            del chain[k - 1:]  # each coalition keeps k - 1 members of the one before
             while len(rowmax) <= coalition[-1]:
                 rowmax.append(next(maxima))
-            if sum(map(rowmax.__getitem__, coalition)) < least[len(coalition)]:
+            if sum(map(rowmax.__getitem__, coalition)) < least[k]:
+                continue
+            if packed is None:
+                packed = _PackedCounts(s, t, pb)
+            while len(chain) < k:
+                chain.append(packed.extend(chain[-1] if chain else packed.empty,
+                                           coalition[len(chain)]))
+            if not packed.survivors(chain[-1], k, w, least[k]):
+                work.tick(s.m - k)  # what _ts_evader counts for its outsiders
                 continue
             outsiders = [o for o in range(s.m) if o not in coalition]
             found = _ts_witness(masks, coalition, outsiders, w, work)

@@ -204,6 +204,20 @@ def test_ipps_trace_precondition_lists_no_subsets(tmp_path, capsys):
         "6 parent sets: (0 1) (0 15) (1)\n")
 
 
+def test_ipps_trace_budget_stops_its_cover_search(tmp_path, capsys):
+    # The trace completes at the default budget; at 0 its first cover
+    # search stops before its first node.
+    tri5 = _write_triples(tmp_path, 5)
+    assert main(["trace", "--kind", "ipps-own-subsets", "--t", "2", str(tri5)]) == 0
+    assert "pirate set T" in capsys.readouterr().out
+    assert main(["trace", "--kind", "ipps-own-subsets", "--t", "2", "--budget", "0",
+                 str(tri5)]) == 3
+    assert capsys.readouterr().out == (
+        "trace ipps-own-subsets blocked\n"
+        "step C1-cover\n"
+        "cover search exceeded its budget of 0 work units\n")
+
+
 def test_own_subsets_command(tmp_path, capsys):
     out = tmp_path / "pg24.ss"
     main(["construct", "--family", "pg-lines", "--n", "2", "--q", "4", "-o", str(out)])

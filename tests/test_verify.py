@@ -48,6 +48,8 @@ from traceschemes.verify import (
     _ipps_ambiguity,
     _ipps_levels,
     _overlaps,
+    _PackedCounts,
+    _point_blocks,
     _ts_evader,
     _ts_packs,
     _ts_witness,
@@ -626,6 +628,68 @@ def test_ts_evader_with_fixed_points_matches_brute_force(case, data):
 
 
 @st.composite
+def filter_cases(draw):
+    """Up to 90 blocks, so that the packed fields span several 64-bit words,
+    a coalition of two to five of them, and a strength t of at least its size."""
+    rng = draw(st.randoms(use_true_random=False))
+    v = draw(st.integers(4, 13))
+    w = draw(st.integers(1, v - 1))
+    s = _random_system(rng, v, w, draw(st.integers(3, 90)))
+    k = draw(st.integers(2, min(5, s.m - 1)))
+    coalition = tuple(sorted(rng.sample(range(s.m), k)))
+    return s, coalition, draw(st.sampled_from([k, k + 1, 2 * k, 10**6]))
+
+
+def _scalar_survivors(s, coalition):
+    """The outsiders that pass _ts_evader's first tests on the whole union,
+    one at a time: a >= ceil(w / k), then sum(caps) >= need."""
+    w, union = s.w, _union(s.masks, coalition)
+    found = set()
+    for o in range(s.m):
+        a = (s.masks[o] & union).bit_count()
+        if o in coalition or a < _ceil_div(w, len(coalition)):
+            continue
+        if a >= w:
+            caps, need = [w] * len(coalition), w
+        else:
+            caps, need = [a - (s.masks[o] & s.masks[i]).bit_count() for i in coalition], w - a
+        if sum(caps) >= need:
+            found.add(o)
+    return found
+
+
+@given(filter_cases())
+# All 3-subsets of 9 points: 84 fields of five bits, past the first word.
+@example((new_set_system(9, list(combinations(range(9), 3))), (0, 40, 83), 3))
+# (k + 1) * w = 16 and 16 are powers of two, so the fields are one bit wider.
+@example((new_set_system(7, list(combinations(range(7), 4))), (0, 17, 34), 3))
+@example((new_set_system(9, list(combinations(range(9), 2))), tuple(range(0, 35, 5)), 7))
+# (k + 1) * w = 15 is just below one: outsider 1 lies in U, a point in each
+# of three members, and its field reaches (k - 1) * w + 2^(F-1) = 17, which
+# overflows a field with no bit to spare above (k + 1) * w.
+@example((new_set_system(12, [(0, 1, 2), (0, 3, 6), (3, 4, 5), (6, 7, 8), (9, 10, 11)]),
+          (0, 2, 3, 4), 4))
+# Outsiders 2 and 3 meet U in ceil(4 / 2) = 2 points.  Those of 3 lie in one
+# member each, so 3 * 2 - 2 = w and it survives; 2 holds point 0, which both
+# members hold, so 3 * 2 - 3 < w.
+@example((new_set_system(10, [(0, 1, 2, 3), (0, 4, 5, 6), (0, 4, 8, 9), (1, 4, 8, 9)]),
+          (0, 1), 2))
+def test_packed_filter_matches_scalar_tests(case):
+    s, coalition, t = case
+    packed = _PackedCounts(s, t, _point_blocks(s))
+    state = packed.empty
+    for i in coalition:
+        state = packed.extend(state, i)
+    k = len(coalition)
+    bits = packed.survivors(state, k, s.w, _ceil_div(s.w, k))
+    got = {o for o in range(s.m) if bits >> (packed.width * o + packed.width - 1) & 1}
+    assert got == _scalar_survivors(s, coalition)
+    if not got:
+        outsiders = [o for o in range(s.m) if o not in coalition]
+        assert _ts_evader(s.masks, coalition, outsiders, s.w, _Work()) is None
+
+
+@st.composite
 def packing_cases(draw):
     """Up to six Venn cells of two to four members, with small sizes, caps and
     demand, so that every choice of counts per cell can be listed."""
@@ -1024,6 +1088,16 @@ def test_ts_ladder_outcomes_and_work_are_pinned():
     ]
     for s, t, budget, expected in rungs:
         assert repr(verify_ts(s, t, budget=budget)) == expected, (s.v, s.w, t)
+
+
+def test_ts_outsider_filter_keeps_wide_coalitions_cheap():
+    # No outsider of any coalition here passes the filter, so a coalition of
+    # up to 1,100 blocks costs a few big-integer sums; outsider by outsider,
+    # this million work units took 12 s.
+    start = time.perf_counter()
+    out = verify_ts(trivial_ts(1200, 2), 1100, budget=10**6)
+    assert (out.verdict, out.work) == ("inconclusive", 1000648)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_search_witnesses_are_pinned():
