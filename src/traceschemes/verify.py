@@ -59,6 +59,9 @@ CERTIFIED = "certified"
 
 BUDGET_EXCEEDED = "BudgetExceeded"
 DEFAULT_BUDGET = 10**9
+# Exhaustive TS filters outsiders with packed tables only while their v + m
+# integers of m * F bits (see _PackedCounts) fit in this many bits, 32 MB.
+_PACKED_TABLE_BITS = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -482,18 +485,24 @@ class _PackedCounts:
     blocks outside it; adding a member costs one col per new point of U.
     """
 
-    __slots__ = ("masks", "pb", "width", "half", "ones", "empty", "cols", "rows")
+    __slots__ = ("masks", "pb", "width", "half", "ones", "empty", "cols", "rows",
+                 "prefix", "base")
+
+    @staticmethod
+    def field_width(s: SetSystem, t: int) -> int:
+        # A field holds at most (k + 1) * w below its guard, for k <= min(t, m).
+        return ((min(t, s.m) + 1) * s.w).bit_length() + 1
 
     def __init__(self, s: SetSystem, t: int, pb: list[list[int]]) -> None:
         self.masks = s.masks
         self.pb = pb
-        # A field holds at most (k + 1) * w below its guard, for k <= min(t, m).
-        self.width = ((min(t, s.m) + 1) * s.w).bit_length() + 1
+        self.width = self.field_width(s, t)
         self.half = 1 << (self.width - 1)
         self.ones = ((1 << self.width * s.m) - 1) // ((1 << self.width) - 1)
         self.empty = (0, 0, 0, self.half * self.ones)
         self.cols: dict[int, int] = {}
         self.rows: dict[int, int] = {}
+        self.prefix, self.base = (), self.empty
 
     def col(self, p: int) -> int:
         c = self.cols.get(p)
@@ -512,6 +521,15 @@ class _PackedCounts:
         u, a, sums, guards = state
         a += sum(map(self.col, _points(self.masks[i] & ~u)))
         return u | self.masks[i], a, sums + self.row(i), guards & ~(self.half << self.width * i)
+
+    def state(self, coalition: tuple[int, ...]) -> tuple[int, int, int, int]:
+        """The state of ``coalition``.  That of its first k - 1 members is
+        kept for the next call, which in a lexicographic walk most often
+        has the same ones, so it then costs one :meth:`extend`."""
+        if coalition[:-1] != self.prefix:
+            self.prefix = coalition[:-1]
+            self.base = reduce(self.extend, self.prefix, self.empty)
+        return self.extend(self.base, coalition[-1])
 
     def survivors(self, state: tuple[int, int, int, int], k: int, w: int, least: int) -> int:
         """Guard bits of the outsiders of a k-member coalition that pass
@@ -569,12 +587,13 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
     distinct).  A coalition no outsider can overlap enough is skipped, first
     by the members' largest overlaps, then by :class:`_PackedCounts`, which
     applies :func:`_ts_evader`'s first tests to all outsiders at once and
-    counts the m - |C| units that scan would; its state for each prefix of
-    the coalition is kept down the walk.  For the others, whether some
-    pirate set lets an outsider evade is decided by counting overlaps
-    (:func:`_ts_evader`); for the first evaded coalition, :func:`_ts_witness`
-    builds the lexicographically first pirate set from the same counts,
-    without listing w-subsets of the union.  Certified mode accepts a
+    counts the m - |C| units that scan would; the state of the coalition's
+    first |C| - 1 members is kept for the next coalition.  Systems whose
+    tables could pass :data:`_PACKED_TABLE_BITS` go without this filter.
+    For the others, whether some pirate set lets an outsider evade is
+    decided by counting overlaps (:func:`_ts_evader`); for the first evaded
+    coalition, :func:`_ts_witness` builds the lexicographically first
+    pirate set from the same counts, without listing w-subsets of the union.  Certified mode accepts a
     pairwise intersection bound (every two blocks share < ceil(w/t^2)
     points, checked up to the first pair that does not) or a
     design-extension certificate, and is otherwise inconclusive.
@@ -612,27 +631,24 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
     # the sum of the members' largest overlaps with any other block.
     least = [0] + [_ceil_div(w, k) for k in range(1, min(t, s.m) + 1)]
     pb = _point_blocks(s)
-    packed = None
-    chain = []  # chain[j]: the packed state of the coalition's first j + 1 members
+    packed = None  # built at the first coalition the rowmax test keeps
+    fits = (s.v + s.m) * s.m * _PackedCounts.field_width(s, t) <= _PACKED_TABLE_BITS
     try:
         maxima = (max(counts.values(), default=0) for counts in _overlaps(s, work, pb))
         rowmax: list[int] = []
         for coalition in _coalitions_lex(s.m, t):
             work.tick()
             k = len(coalition)
-            del chain[k - 1:]  # each coalition keeps k - 1 members of the one before
             while len(rowmax) <= coalition[-1]:
                 rowmax.append(next(maxima))
             if sum(map(rowmax.__getitem__, coalition)) < least[k]:
                 continue
-            if packed is None:
-                packed = _PackedCounts(s, t, pb)
-            while len(chain) < k:
-                chain.append(packed.extend(chain[-1] if chain else packed.empty,
-                                           coalition[len(chain)]))
-            if not packed.survivors(chain[-1], k, w, least[k]):
-                work.tick(s.m - k)  # what _ts_evader counts for its outsiders
-                continue
+            if fits:
+                if packed is None:
+                    packed = _PackedCounts(s, t, pb)
+                if not packed.survivors(packed.state(coalition), k, w, least[k]):
+                    work.tick(s.m - k)  # what _ts_evader counts for its outsiders
+                    continue
             outsiders = [o for o in range(s.m) if o not in coalition]
             found = _ts_witness(masks, coalition, outsiders, w, work)
             if found is not None:
