@@ -45,6 +45,7 @@ RUNGS = {
     "ts-extend-pg29-d8-t4": ("extend_design(pg_lines(2, 9), 8, 3)[0]", 4, 10**7, 60),
     "ts-extend-pg216-d1-t4": ("extend_design(pg_lines(2, 16), 1, 4)[0]", 4, 5 * 10**6, 120),
     "ts-trivial-1200-2-t1100": ("trivial_ts(1200, 2)", 1100, 2 * 10**5, 60),
+    "ts-trivial-1200-2-t1100-1M": ("trivial_ts(1200, 2)", 1100, 10**6, 60),
 }
 
 

@@ -1112,7 +1112,7 @@ def _outcome(verdict, work, witness=None, detail=""):
 
 def test_ts_ladder_outcomes_and_work_are_pinned():
     # The TS rungs of the work ladder (bench/ladder.py): verdict, witness and
-    # work of the exhaustive walk, two of them stopped by their budget.
+    # work of the exhaustive walk, three of them stopped by their budget.
     pg9 = extend_design(pg_lines(2, 9), 8, 3)[0]
     rungs = [
         (trivial_ts(30, 5), 3, 10**9, _outcome("holds", 73255)),
@@ -1127,6 +1127,8 @@ def test_ts_ladder_outcomes_and_work_are_pinned():
          _outcome("inconclusive", 5000005, detail="BudgetExceeded")),
         (trivial_ts(1200, 2), 1100, 200_000,
          _outcome("inconclusive", 200347, detail="BudgetExceeded")),
+        (trivial_ts(1200, 2), 1100, 1_000_000,
+         _outcome("inconclusive", 1000648, detail="BudgetExceeded")),
     ]
     for s, t, budget, expected in rungs:
         assert repr(verify_ts(s, t, budget=budget)) == expected, (s.v, s.w, t)
