@@ -2,8 +2,8 @@
 
 Usage, from the repository root:
 
-    python bench/ladder.py --out BENCH_13.json [--rungs NAME,NAME,...]
-    python bench/ladder.py --compare BENCH_12.json BENCH_13.json
+    python bench/ladder.py --out BENCH_14.json [--rungs NAME,NAME,...]
+    python bench/ladder.py --compare BENCH_13.json BENCH_14.json
 
 Each run of a rung is a child process of this script (``--run NAME``) that
 builds the system from ``src/`` next to this file, decides it with

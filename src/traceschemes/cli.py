@@ -22,6 +22,7 @@ from .core import (
     ParamsInvalid,
     SchemeError,
     SchemeParams,
+    _own_subsets,
     enumerate_own_subsets,
     parse_set_system,
     render_set_system,
@@ -85,8 +86,12 @@ def _require(args, *names: str) -> None:
 
 
 def _cmd_verify(args) -> int:
-    system = _load_system(args.file)
     prop = args.property
+    if args.mode == "certified" and prop != "ts":
+        raise SchemeError(f"certified mode applies to ts only, not {prop}")
+    if args.lam is not None and prop != "design":
+        raise SchemeError(f"--lambda applies to design only, not {prop}")
+    system = _load_system(args.file)
     budget = args.budget
     if prop in ("design", "packing"):
         if args.tau is None:
@@ -106,15 +111,12 @@ def _cmd_verify(args) -> int:
             outcome = verify_mod.verify_ts(system, args.t, first, budget)
             if args.mode == "auto" and outcome.inconclusive:
                 outcome = verify_mod.verify_ts(system, args.t, verify_mod.EXHAUSTIVE, budget)
+        elif prop == "ipps":
+            outcome = verify_mod.verify_ipps(system, args.t, budget)
+        elif prop == "ipps-star":
+            outcome = verify_mod.verify_ipps_star(system, args.t, budget)
         else:
-            if args.mode == "certified":
-                raise SchemeError(f"certified mode applies to ts only, not {prop}")
-            if prop == "ipps":
-                outcome = verify_mod.verify_ipps(system, args.t, budget)
-            elif prop == "ipps-star":
-                outcome = verify_mod.verify_ipps_star(system, args.t, budget)
-            else:
-                outcome = verify_mod.verify_cff(system, args.t, budget)
+            outcome = verify_mod.verify_cff(system, args.t, budget)
         label = f"property={prop} t={args.t}"
     print(f"verify {label} mode={outcome.mode} verdict={outcome.verdict} work={outcome.work}")
     if outcome.detail:
@@ -175,13 +177,15 @@ def _cmd_trace(args) -> int:
 
 def _cmd_own_subsets(args) -> int:
     system = _load_system(args.file)
-    indices = [args.block] if args.block is not None else range(system.m)
-    for i in indices:
-        report = enumerate_own_subsets(system, i, args.tau)
-        print(f"block {i} tau={args.tau} count={report.count}")
-        if args.block is not None:
-            for sub in report.own_subsets:
-                print("own " + " ".join(map(str, sub)))
+    if args.block is None:  # counted one at a time, so no block's subsets are kept
+        for i in range(system.m):
+            count = sum(1 for _ in _own_subsets(system, i, args.tau))
+            print(f"block {i} tau={args.tau} count={count}")
+        return EXIT_OK
+    report = enumerate_own_subsets(system, args.block, args.tau)
+    print(f"block {args.block} tau={args.tau} count={report.count}")
+    for sub in report.own_subsets:
+        print("own " + " ".join(map(str, sub)))
     return EXIT_OK
 
 

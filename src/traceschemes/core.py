@@ -194,15 +194,20 @@ class OwnSubsetReport:
 
 
 def _own_subsets(s: SetSystem, block_index: int, tau: int) -> Iterator[tuple[int, ...]]:
-    """Each tau-subset of the given block lying in no other block, in lexicographic order."""
-    # Only blocks meeting this one in >= tau points can absorb a tau-subset.
+    """Each tau-subset of the given block lying in no other block, in
+    lexicographic order, one at a time; the block index and tau are
+    checked at the call."""
+    if not 0 <= block_index < s.m:
+        raise PointOutOfRange(f"block index {block_index} outside [0, {s.m})")
+    if not 1 <= tau <= s.w:
+        raise TauOutOfRange(f"tau={tau} outside [1, {s.w}]")
+    # A subset lies in another block B' iff it misses B - B'; only the B'
+    # meeting this block B in tau points or more can hold a tau-subset.
     mask = s.masks[block_index]
-    rivals = [m for i, m in enumerate(s.masks)
-              if i != block_index and (m & mask).bit_count() >= tau]
-    for sub in combinations(s.blocks[block_index], tau):
-        sm = _mask(sub)
-        if all(sm & r != sm for r in rivals):
-            yield sub
+    gaps = [mask & ~r for i, r in enumerate(s.masks)
+            if i != block_index and (r & mask).bit_count() >= tau]
+    return (sub for sub in combinations(s.blocks[block_index], tau)
+            if all(map(_mask(sub).__and__, gaps)))
 
 
 def _has_own_subset(s: SetSystem, block_index: int, tau: int) -> bool:
@@ -240,10 +245,6 @@ def _has_own_subset(s: SetSystem, block_index: int, tau: int) -> bool:
 
 def enumerate_own_subsets(s: SetSystem, block_index: int, tau: int) -> OwnSubsetReport:
     """List every tau-subset of the given block lying in no other block."""
-    if not 0 <= block_index < s.m:
-        raise PointOutOfRange(f"block index {block_index} outside [0, {s.m})")
-    if not 1 <= tau <= s.w:
-        raise TauOutOfRange(f"tau={tau} outside [1, {s.w}]")
     own = tuple(_own_subsets(s, block_index, tau))
     return OwnSubsetReport(block_index=block_index, size=tau,
                            own_subsets=own, count=len(own))

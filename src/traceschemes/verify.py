@@ -4,14 +4,16 @@ Five properties are decided: tau-design, tau-packing, strength-t cover-free
 family (CFF), strength-t parent-identifying set system (IPPS, plus its
 variant over pirate sets larger than one block width), and strength-t
 traceability scheme (TS).  Exhaustive mode covers the full quantifier
-space and is decisive.  For TS it first drops every outsider of a
-coalition that cannot overlap the union enough, all at once, by
-big-integer sums of overlap counts packed one field per block; it then
-decides whether some pirate set evades the coalition by counting overlaps,
-and builds the witness's pirate set a point at a time by the same
-counting.  For IPPS it first reads the pairwise-intersection packing
-condition off the pair unions it lists anyway (a t-TS is a t-IPPS), and
-otherwise extends ambiguous point sets depth first, a point at a time.
+space and is decisive.  For TS it walks the coalitions in lexicographic
+order in one loop that carries, beside the member list, the packed state
+of each of its prefixes.  It first drops every outsider of a coalition
+that cannot overlap the union enough, all at once, by big-integer sums of
+overlap counts packed one field per block; it then decides whether some
+pirate set evades the coalition by counting overlaps, and builds the
+witness's pirate set a point at a time by the same counting.  For IPPS it
+first reads the pairwise-intersection packing condition off the pair
+unions it lists anyway (a t-TS is a t-IPPS), and otherwise extends
+ambiguous point sets depth first, a point at a time.
 Certified mode, for TS only, proves the property from that packing
 condition or from a design-extension certificate, and says "inconclusive"
 otherwise; IPPS needs no such mode, since its certificate costs nothing
@@ -60,7 +62,8 @@ CERTIFIED = "certified"
 BUDGET_EXCEEDED = "BudgetExceeded"
 DEFAULT_BUDGET = 10**9
 # Exhaustive TS filters outsiders with packed tables only while their v + m
-# integers of m * F bits (see _PackedCounts) fit in this many bits, 32 MB.
+# integers of m * F bits (see _PackedCounts), and up to three such per
+# coalition member for the walk's states, fit in this many bits, 32 MB.
 _PACKED_TABLE_BITS = 1 << 28
 
 
@@ -301,30 +304,6 @@ def verify_cff(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOutc
 # traceability schemes
 
 
-def _coalitions_lex(m: int, t: int):
-    """All index tuples of size 2..t over range(m), in lexicographic order.
-
-    Each tuple, size-1 prefixes included, follows the one before by
-    appending its last index + 1, else by raising its last index, else by
-    dropping that index (it is m - 1) and raising the one before.
-    """
-    if t < 2 or m < 2:
-        return
-    c = [0]
-    while True:
-        if len(c) < t and c[-1] + 1 < m:
-            c.append(c[-1] + 1)
-        elif c[-1] + 1 < m:
-            c[-1] += 1
-        else:
-            c.pop()
-            if not c:
-                return
-            c[-1] += 1
-        if len(c) >= 2:
-            yield tuple(c)
-
-
 def _ts_packs(cells, caps: list[int], keep: int, need: int, work: _Work) -> bool:
     """Whether ``need`` points of ``keep`` can be picked from the ``cells``.
 
@@ -473,63 +452,50 @@ def _ts_witness(masks, coalition: tuple[int, ...], outsiders: list[int], w: int,
     return None if found is None else (tuple(_points(prefix)), found)
 
 
+class _Table(dict):
+    """A dict that builds each missing entry with ``build`` on first use."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 class _PackedCounts:
     """Overlap counts of every block with a coalition, packed into integers.
 
-    Block o owns field o, ``width`` bits wide, whose top bit is a guard.
-    ``col(p)`` has 1 in the field of each block through point p, so a sum
+    Block o owns field o, ``width`` bits wide, whose top bit is a guard; a
+    field holds at most (k + 1) * w below it, for k <= min(t, m).
+    ``cols[p]`` has 1 in the field of each block through point p, so a sum
     of cols over a point set P holds |B_o & P| in field o, for all o at
-    once; ``row(i)``, the sum over B_i, holds |B_o & B_i|.  Both are built
-    on first use.  A coalition's state is (U, A, S, G): its union, the sum
-    of cols over U, the sum of its members' rows, and the guard bits of the
-    blocks outside it; adding a member costs one col per new point of U.
+    once; ``rows[i]``, the sum over B_i, holds |B_o & B_i|.  Both are
+    built on first use.  A coalition's state is (U, A, S, G): its union,
+    the sum of cols over U, the sum of its members' rows, and the guard
+    bits of the blocks outside it; adding a member costs one col per new
+    point of U.
     """
 
-    __slots__ = ("masks", "pb", "width", "half", "ones", "empty", "cols", "rows",
-                 "prefix", "base")
-
-    @staticmethod
-    def field_width(s: SetSystem, t: int) -> int:
-        # A field holds at most (k + 1) * w below its guard, for k <= min(t, m).
-        return ((min(t, s.m) + 1) * s.w).bit_length() + 1
+    __slots__ = ("masks", "width", "half", "ones", "empty", "cols", "rows")
 
     def __init__(self, s: SetSystem, t: int, pb: list[list[int]]) -> None:
         self.masks = s.masks
-        self.pb = pb
-        self.width = self.field_width(s, t)
-        self.half = 1 << (self.width - 1)
-        self.ones = ((1 << self.width * s.m) - 1) // ((1 << self.width) - 1)
+        self.width = width = ((min(t, s.m) + 1) * s.w).bit_length() + 1
+        self.half = 1 << (width - 1)
+        self.ones = ((1 << width * s.m) - 1) // ((1 << width) - 1)
         self.empty = (0, 0, 0, self.half * self.ones)
-        self.cols: dict[int, int] = {}
-        self.rows: dict[int, int] = {}
-        self.prefix, self.base = (), self.empty
-
-    def col(self, p: int) -> int:
-        c = self.cols.get(p)
-        if c is None:
-            c = self.cols[p] = sum(1 << self.width * o for o in self.pb[p])
-        return c
-
-    def row(self, i: int) -> int:
-        r = self.rows.get(i)
-        if r is None:
-            r = self.rows[i] = sum(map(self.col, _points(self.masks[i])))
-        return r
+        cols = self.cols = _Table(lambda p: sum(1 << width * o for o in pb[p]))
+        self.rows = _Table(lambda i: sum(map(cols.__getitem__, _points(s.masks[i]))))
 
     def extend(self, state: tuple[int, int, int, int], i: int) -> tuple[int, int, int, int]:
         """The state of a coalition once block i joins it."""
         u, a, sums, guards = state
-        a += sum(map(self.col, _points(self.masks[i] & ~u)))
-        return u | self.masks[i], a, sums + self.row(i), guards & ~(self.half << self.width * i)
-
-    def state(self, coalition: tuple[int, ...]) -> tuple[int, int, int, int]:
-        """The state of ``coalition``.  That of its first k - 1 members is
-        kept for the next call, which in a lexicographic walk most often
-        has the same ones, so it then costs one :meth:`extend`."""
-        if coalition[:-1] != self.prefix:
-            self.prefix = coalition[:-1]
-            self.base = reduce(self.extend, self.prefix, self.empty)
-        return self.extend(self.base, coalition[-1])
+        a += sum(map(self.cols.__getitem__, _points(self.masks[i] & ~u)))
+        return u | self.masks[i], a, sums + self.rows[i], guards & ~(self.half << self.width * i)
 
     def survivors(self, state: tuple[int, int, int, int], k: int, w: int, least: int) -> int:
         """Guard bits of the outsiders of a k-member coalition that pass
@@ -584,19 +550,24 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
 
     Exhaustive mode checks every coalition of 2..t blocks against every
     outside block (size-1 coalitions cannot be evaded because blocks are
-    distinct).  A coalition no outsider can overlap enough is skipped, first
-    by the members' largest overlaps, then by :class:`_PackedCounts`, which
-    applies :func:`_ts_evader`'s first tests to all outsiders at once and
-    counts the m - |C| units that scan would; the state of the coalition's
-    first |C| - 1 members is kept for the next coalition.  Systems whose
-    tables could pass :data:`_PACKED_TABLE_BITS` go without this filter.
+    distinct).  One loop walks them in lexicographic order over a member
+    list ``c``: append c[-1] + 1, else raise c[-1], else drop c[-1] (it is
+    m - 1) and raise the member before.  A coalition no outsider can
+    overlap enough is skipped, first by the members' largest overlaps, then
+    by :class:`_PackedCounts`, which applies :func:`_ts_evader`'s first
+    tests to all outsiders at once and counts the m - |C| units that scan
+    would.  ``states[d]`` is the packed state of c[:d + 1], or None until a
+    coalition needs it; it is pushed, reset and popped with c[d], so it
+    always belongs to the members now in ``c``.  Systems whose tables and
+    states could pass :data:`_PACKED_TABLE_BITS` go without this filter.
     For the others, whether some pirate set lets an outsider evade is
     decided by counting overlaps (:func:`_ts_evader`); for the first evaded
     coalition, :func:`_ts_witness` builds the lexicographically first
-    pirate set from the same counts, without listing w-subsets of the union.  Certified mode accepts a
-    pairwise intersection bound (every two blocks share < ceil(w/t^2)
-    points, checked up to the first pair that does not) or a
-    design-extension certificate, and is otherwise inconclusive.
+    pirate set from the same counts, without listing w-subsets of the union.
+
+    Certified mode accepts a pairwise intersection bound (every two blocks
+    share < ceil(w/t^2) points, checked up to the first pair that does
+    not) or a design-extension certificate, and is otherwise inconclusive.
     """
     if t < 1:
         raise ParamsInvalid(f"strength t={t} must be >= 1")
@@ -626,30 +597,51 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
     if t == 1 or s.m <= 1:
         return VerifyOutcome(HOLDS, EXHAUSTIVE, detail="size-1 coalitions cannot be evaded",
                              work=0)
-    masks, w = s.masks, s.w
+    masks, w, m = s.masks, s.w, s.m
     # An outsider O needs |O & U| >= ceil(w / |C|), and |O & U| is at most
     # the sum of the members' largest overlaps with any other block.
-    least = [0] + [_ceil_div(w, k) for k in range(1, min(t, s.m) + 1)]
+    least = [0] + [_ceil_div(w, k) for k in range(1, min(t, m) + 1)]
     pb = _point_blocks(s)
-    packed = None  # built at the first coalition the rowmax test keeps
-    fits = (s.v + s.m) * s.m * _PackedCounts.field_width(s, t) <= _PACKED_TABLE_BITS
+    packed = _PackedCounts(s, t, pb)
+    fits = (s.v + m + 3 * min(t, m)) * m * packed.width <= _PACKED_TABLE_BITS
     try:
         maxima = (max(counts.values(), default=0) for counts in _overlaps(s, work, pb))
         rowmax: list[int] = []
-        for coalition in _coalitions_lex(s.m, t):
+        c: list[int] = [0]
+        states: list[tuple[int, int, int, int] | None] = [None]
+        while True:
+            if len(c) < t and c[-1] + 1 < m:
+                c.append(c[-1] + 1)
+                states.append(None)
+            else:
+                if c[-1] + 1 == m:
+                    c.pop()
+                    states.pop()
+                    if not c:
+                        break
+                c[-1] += 1
+                states[-1] = None
+            k = len(c)
+            if k < 2:
+                continue
             work.tick()
-            k = len(coalition)
-            while len(rowmax) <= coalition[-1]:
+            while len(rowmax) <= c[-1]:
                 rowmax.append(next(maxima))
-            if sum(map(rowmax.__getitem__, coalition)) < least[k]:
+            if sum(map(rowmax.__getitem__, c)) < least[k]:
                 continue
             if fits:
-                if packed is None:
-                    packed = _PackedCounts(s, t, pb)
-                if not packed.survivors(packed.state(coalition), k, w, least[k]):
-                    work.tick(s.m - k)  # what _ts_evader counts for its outsiders
+                # The known states are a prefix of ``states``; extend the last.
+                d = k - 1
+                while d and states[d - 1] is None:
+                    d -= 1
+                state = states[d - 1] if d else packed.empty
+                for d in range(d, k):
+                    state = states[d] = packed.extend(state, c[d])
+                if not packed.survivors(state, k, w, least[k]):
+                    work.tick(m - k)  # what _ts_evader counts for its outsiders
                     continue
-            outsiders = [o for o in range(s.m) if o not in coalition]
+            coalition = tuple(c)
+            outsiders = [o for o in range(m) if o not in coalition]
             found = _ts_witness(masks, coalition, outsiders, w, work)
             if found is not None:
                 wit = TsEvasion(coalition=coalition, pirate=found[0], outsider=found[1])

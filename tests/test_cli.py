@@ -4,6 +4,7 @@ import contextlib
 import io
 import tempfile
 import time
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -83,6 +84,31 @@ def test_verify_design_and_packing(tmp_path, capsys):
                  str(out)]) == 0
     assert main(["verify", "--property", "packing", "--tau", "2", str(out)]) == 0
     capsys.readouterr()
+
+
+def test_verify_rejects_flags_its_property_does_not_use(tmp_path, capsys):
+    # Certified mode is for ts only and --lambda for design only; either
+    # flag elsewhere stops with an error line instead of being dropped.
+    out = tmp_path / "fano.ss"
+    main(["construct", "--family", "pg-lines", "--n", "2", "--q", "2", "-o", str(out)])
+    capsys.readouterr()
+    for prop, flags in (("packing", ["--tau", "2"]), ("design", ["--tau", "2"]),
+                        ("ipps", ["--t", "2"]), ("cff", ["--t", "2"])):
+        assert main(["verify", "--property", prop, *flags, "--mode", "certified",
+                     str(out)]) == 2, prop
+        captured = capsys.readouterr()
+        assert captured.out == "", prop
+        assert captured.err == f"error: certified mode applies to ts only, not {prop}\n"
+    for prop, flags in (("packing", ["--tau", "2"]), ("ts", ["--t", "2"]),
+                        ("cff", ["--t", "2"])):
+        assert main(["verify", "--property", prop, *flags, "--lambda", "1", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "", prop
+        assert captured.err == f"error: --lambda applies to design only, not {prop}\n"
+    assert main(["verify", "--property", "design", "--tau", "2", "--mode", "exhaustive",
+                 str(out)]) == 0
+    assert main(["verify", "--property", "ts", "--t", "2", "--mode", "certified",
+                 str(out)]) == 3
 
 
 def test_check_witness_round_trip(tmp_path, capsys):
@@ -230,6 +256,25 @@ def test_own_subsets_command(tmp_path, capsys):
     assert main(["own-subsets", "--tau", "2", "--block", "0", str(out)]) == 0
     captured = capsys.readouterr()
     assert captured.out.count("own ") == 10
+
+
+def test_own_subsets_counts_without_keeping_them(tmp_path, capsys):
+    # Two disjoint 24-point blocks: each has all C(24, 5) = 42,504 of its
+    # 5-subsets as own subsets, about 4 MB of tuples if they were kept.
+    path = tmp_path / "two.ss"
+    path.write_text(render_set_system(new_set_system(48, [range(24), range(24, 48)])),
+                    encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert main(["own-subsets", "--tau", "5", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == (
+        "block 0 tau=5 count=42504\nblock 1 tau=5 count=42504\n")
+    assert peak < 500_000
+    assert main(["own-subsets", "--tau", "25", str(path)]) == 2
+    assert capsys.readouterr().err == "error: tau=25 outside [1, 24]\n"
 
 
 def test_stats_command(tmp_path, capsys):

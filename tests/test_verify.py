@@ -8,9 +8,10 @@ import timeit
 from itertools import combinations, islice, product
 from math import comb
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import traceschemes
@@ -44,7 +45,6 @@ from traceschemes.core import FormatError, _ceil_div, _points, _union
 from traceschemes.oracle import _ipps_push
 from traceschemes.verify import (
     _BudgetStop,
-    _coalitions_lex,
     _ipps_ambiguity,
     _ipps_levels,
     _overlaps,
@@ -689,22 +689,6 @@ def test_packed_filter_matches_scalar_tests(case):
         assert _ts_evader(s.masks, coalition, outsiders, s.w, _Work()) is None
 
 
-@given(st.randoms(use_true_random=False), st.integers(2, 40), st.integers(2, 4))
-def test_packed_state_reuse_matches_a_fresh_state(rng, m, t):
-    # The walk asks for the states of only some coalitions, those the rowmax
-    # test keeps; each must match a state built from nothing, also when the
-    # first member changes between two of them.
-    s = _random_system(rng, rng.randrange(6, 14), rng.randrange(2, 5), m)
-    packed = _PackedCounts(s, t, _point_blocks(s))
-    for coalition in _coalitions_lex(s.m, t):
-        if rng.random() < 0.4:
-            continue
-        fresh = packed.empty
-        for i in coalition:
-            fresh = packed.extend(fresh, i)
-        assert packed.state(coalition) == fresh, coalition
-
-
 def test_ts_filter_after_the_first_member_changes():
     # (0, 1) is skipped by rowmax and (0, 2) and (0, 3) are filtered; then
     # the first member changes.  Outsider 3 meets B1 | B2 in three points,
@@ -772,11 +756,15 @@ def test_ts_packs_goes_one_cell_deeper_per_point():
     assert work.count == 1100
 
 
-def test_coalitions_come_in_lexicographic_order():
-    for m in range(8):
-        for t in range(6):
-            assert list(_coalitions_lex(m, t)) == sorted(
-                c for k in range(2, t + 1) for c in combinations(range(m), k)), (m, t)
+def test_ts_walk_meets_each_coalition_once():
+    # Disjoint blocks meet no other block, so rowmax skips every coalition
+    # and the work is the overlap pass, one unit per incidence, plus one
+    # unit per coalition of 2..t blocks.
+    for m in range(2, 9):
+        s = new_set_system(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+        for t in range(2, m + 3):
+            coalitions = sum(comb(m, k) for k in range(2, min(t, m) + 1))
+            assert verify_ts(s, t).work == 2 * m + coalitions, (m, t)
 
 
 def test_ts_evader_splits_venn_cells_only_where_points_lie():
@@ -856,6 +844,20 @@ def test_row_max_skip_admits_no_evasion(s, t):
 def test_row_max_skips_every_pair_of_lines():
     # Lines of PG(2, 4) meet in one point: two members reach at most 2 < 3.
     assert _assert_row_max_skips_are_sound(pg_lines(2, 4), 2) == 210
+
+
+@given(st.one_of(wide_systems(), sparse_systems()), st.integers(2, 4), st.integers(0, 2000))
+@example(new_set_system(20, [(0, 1, 2, 3, 4, 5), (5, 7, 8, 9, 10, 11), (6, 12, 13, 14, 15, 16),
+                             (11, 12, 13, 17, 18, 19)]), 2, 2000)
+@settings(max_examples=1000)
+def test_ts_with_and_without_packed_tables_agree(s, t, budget):
+    # The packed filter only skips what the scalar scan would find nothing
+    # in, so the verdict, witness and work are the same, budget stops too.
+    # A state kept after its first member changed, as in the example, shows
+    # on about one random system in a hundred; 200 draws missed it.
+    packed = repr(verify_ts(s, t, budget=budget))
+    with patch.object(traceschemes.verify, "_PACKED_TABLE_BITS", 0):
+        assert repr(verify_ts(s, t, budget=budget)) == packed
 
 
 def brute_first_repeated_subset(s, tau):
