@@ -1,15 +1,16 @@
-"""The work ladder: fixed exhaustive TS instances, each under a work and a time cap.
+"""The work ladder: fixed exhaustive decisions, each under a work and a time cap.
 
 Usage, from the repository root:
 
-    python bench/ladder.py --out BENCH_14.json [--rungs NAME,NAME,...]
-    python bench/ladder.py --compare BENCH_13.json BENCH_14.json
+    python bench/ladder.py --out BENCH_15.json [--rungs NAME,NAME,...]
+    python bench/ladder.py --compare BENCH_14.json BENCH_15.json
 
 Each run of a rung is a child process of this script (``--run NAME``) that
-builds the system from ``src/`` next to this file, decides it with
-``verify_ts`` at the rung's work cap as budget, and prints one JSON line.
-A rung runs three times, or once when its first run takes over 5 s; its
-wall time is the median of the in-process times of ``verify_ts``.  A rung
+builds the system from ``src/`` next to this file, decides the rung's
+property with its exhaustive decider (``verify_ts`` or ``verify_cff``) at
+the rung's work cap as budget, and prints one JSON line.  A rung runs
+three times, or once when its first run takes over 5 s; its wall time is
+the median of the in-process times of the decider.  A rung
 that stops at its work cap (verdict inconclusive) or is killed at its time
 cap is recorded as ``gave-up``; the first keeps the work it reached.
 
@@ -35,17 +36,21 @@ ROOT = Path(__file__).resolve().parent.parent
 SLOW_S = 5.0  # a rung whose first run takes longer runs once
 SCHEMA = 1
 
-# name: (instance, built by eval over traceschemes' names, strength t,
-#        work cap passed as budget, time cap per run in seconds)
+# name: (instance, built by eval over traceschemes' names, property decided
+#        by verify_<property>, strength t, work cap passed as budget, time cap
+#        per run in seconds)
 RUNGS = {
-    "ts-trivial-30-5-t3": ("trivial_ts(30, 5)", 3, 10**7, 60),
-    "ts-extend-pg24-d1-t2": ("extend_design(pg_lines(2, 4), 1, 2)[0]", 2, 10**7, 60),
-    "ts-hermitian-4-t2": ("hermitian_unital(4)", 2, 10**7, 60),
-    "ts-extend-pg29-d8-t3": ("extend_design(pg_lines(2, 9), 8, 3)[0]", 3, 5 * 10**7, 120),
-    "ts-extend-pg29-d8-t4": ("extend_design(pg_lines(2, 9), 8, 3)[0]", 4, 10**7, 60),
-    "ts-extend-pg216-d1-t4": ("extend_design(pg_lines(2, 16), 1, 4)[0]", 4, 5 * 10**6, 120),
-    "ts-trivial-1200-2-t1100": ("trivial_ts(1200, 2)", 1100, 2 * 10**5, 60),
-    "ts-trivial-1200-2-t1100-1M": ("trivial_ts(1200, 2)", 1100, 10**6, 60),
+    "ts-trivial-30-5-t3": ("trivial_ts(30, 5)", "ts", 3, 10**7, 60),
+    "ts-extend-pg24-d1-t2": ("extend_design(pg_lines(2, 4), 1, 2)[0]", "ts", 2, 10**7, 60),
+    "ts-hermitian-4-t2": ("hermitian_unital(4)", "ts", 2, 10**7, 60),
+    "ts-extend-pg29-d8-t3": ("extend_design(pg_lines(2, 9), 8, 3)[0]", "ts", 3, 5 * 10**7, 120),
+    "ts-extend-pg29-d8-t4": ("extend_design(pg_lines(2, 9), 8, 3)[0]", "ts", 4, 10**7, 60),
+    "ts-extend-pg216-d1-t4": ("extend_design(pg_lines(2, 16), 1, 4)[0]", "ts", 4, 5 * 10**6, 120),
+    "ts-trivial-1200-2-t1100": ("trivial_ts(1200, 2)", "ts", 1100, 2 * 10**5, 60),
+    "ts-trivial-1200-2-t1100-1M": ("trivial_ts(1200, 2)", "ts", 1100, 10**6, 60),
+    "cff-hermitian-4-t3": ("hermitian_unital(4)", "cff", 3, 10**7, 60),
+    "cff-pg33-t3": ("pg_lines(3, 3)", "cff", 3, 10**7, 60),
+    "cff-pg29-t9": ("pg_lines(2, 9)", "cff", 9, 5 * 10**6, 120),
 }
 
 
@@ -54,10 +59,11 @@ def run_rung(name: str) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     import traceschemes
 
-    instance, t, work_cap, _ = RUNGS[name]
+    instance, prop, t, work_cap, _ = RUNGS[name]
     system = eval(instance, dict(vars(traceschemes)))
+    decide = getattr(traceschemes, "verify_" + prop)
     start = time.perf_counter()
-    out = traceschemes.verify_ts(system, t, budget=work_cap)
+    out = decide(system, t, budget=work_cap)
     seconds = time.perf_counter() - start
     text = out.verdict + "\n"
     if out.witness is not None:
@@ -68,10 +74,10 @@ def run_rung(name: str) -> dict:
 
 def measure(name: str) -> dict:
     """Run one rung in child processes and summarize it."""
-    instance, t, work_cap, time_cap = RUNGS[name]
-    record = {"name": name, "instance": instance, "t": t, "work_cap": work_cap,
-              "time_cap_s": time_cap, "python": platform.python_version(),
-              "nproc": os.cpu_count()}
+    instance, prop, t, work_cap, time_cap = RUNGS[name]
+    record = {"name": name, "instance": instance, "property": prop, "t": t,
+              "work_cap": work_cap, "time_cap_s": time_cap,
+              "python": platform.python_version(), "nproc": os.cpu_count()}
     first, times = None, []
     while len(times) < 3:
         try:

@@ -16,9 +16,9 @@ upper-special are the refined EFF and special bounds at t^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, floor, ceil
+from typing import NamedTuple
 
 from .core import ParamsInvalid, SchemeParams, _ceil_div, _check_ground_set
 
@@ -27,8 +27,7 @@ class InconsistentBounds(Exception):
     """A lower bound exceeded an upper bound: implementation bug."""
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     name: str
     direction: str  # "upper" | "lower" | "exact"
     value: Fraction | None
@@ -37,8 +36,7 @@ class BoundValue:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     params: SchemeParams
     scheme: str
     entries: tuple[BoundValue, ...]
@@ -240,7 +238,7 @@ def bound_report(p: SchemeParams, scheme: str) -> BoundReport:
     elif scheme == "ipps":
         collins = ipps_upper_collins(p)
         new = ipps_upper_new(p)
-        new = replace(new, note=(new.note + "; " + _CONJECTURE_NOTE).strip("; "))
+        new = new._replace(note=(new.note + "; " + _CONJECTURE_NOTE).strip("; "))
         entries = [collins, new]
     elif scheme == "cff":
         entries = [cff_upper_eff(p), cff_upper_new(p),

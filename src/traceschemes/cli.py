@@ -91,9 +91,14 @@ def _cmd_verify(args) -> int:
         raise SchemeError(f"certified mode applies to ts only, not {prop}")
     if args.lam is not None and prop != "design":
         raise SchemeError(f"--lambda applies to design only, not {prop}")
+    by_tau = prop in ("design", "packing")
+    if args.tau is not None and not by_tau:
+        raise SchemeError(f"--tau applies to design and packing only, not {prop}")
+    if args.t is not None and by_tau:
+        raise SchemeError(f"--t applies to ts, ipps, ipps-star and cff only, not {prop}")
     system = _load_system(args.file)
     budget = args.budget
-    if prop in ("design", "packing"):
+    if by_tau:
         if args.tau is None:
             raise SchemeError(f"--tau is required for property {prop}")
         if prop == "design":

@@ -14,9 +14,9 @@ builds each block once, from the first tau-subset it contains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, isqrt
+from typing import NamedTuple
 
 from .core import (
     BudgetExceeded,
@@ -45,8 +45,7 @@ class CongruenceViolated(ParamsInvalid):
     """Appended-point count d incompatible with the width congruence."""
 
 
-@dataclass(frozen=True)
-class ExtensionCertificate:
+class ExtensionCertificate(NamedTuple):
     """Records why an extended design is a strength-t traceability scheme.
 
     The certified system has d common points appended to every block of a

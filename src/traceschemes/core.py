@@ -13,9 +13,9 @@ generated lazily, so a caller that needs only the first pays only for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations, repeat
+from operator import ge
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_GROUND_SET = 4096
 
@@ -104,7 +104,6 @@ def _int_token(token: str, signed: bool = True) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
 class SetSystem:
     """Uniform set system over ground set {0, ..., v-1}.
 
@@ -112,15 +111,43 @@ class SetSystem:
     is lexicographically sorted, each block strictly ascending.  ``masks``
     holds one bitmask per block for fast intersection counting; it is
     derived from ``blocks``, so a system built directly has it too.
+    Equality, hash and repr read ``v``, ``w`` and ``blocks`` only.  It is
+    deliberately not a tuple: callers tell a system from a (system,
+    certificate) pair by that.
     """
 
+    __slots__ = ("v", "w", "blocks", "masks")
     v: int
     w: int
     blocks: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "masks", tuple(_mask(b) for b in self.blocks))
+    def __init__(self, v: int, w: int, blocks: tuple[tuple[int, ...], ...]) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "v", v)
+        setattr_(self, "w", w)
+        setattr_(self, "blocks", blocks)
+        setattr_(self, "masks", tuple(_mask(b) for b in blocks))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"SetSystem(v={self.v!r}, w={self.w!r}, blocks={self.blocks!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.v, self.w, self.blocks) == (other.v, other.w, other.blocks)
+
+    def __hash__(self) -> int:
+        return hash((self.v, self.w, self.blocks))
+
+    def __reduce__(self):
+        return SetSystem, (self.v, self.w, self.blocks)
 
     @property
     def m(self) -> int:
@@ -148,9 +175,9 @@ def new_set_system(v: int, blocks: Sequence[Sequence[int]], width: int | None = 
     canon: list[tuple[int, ...]] = []
     for raw in blocks:
         b = tuple(raw)
-        if any(not isinstance(p, int) for p in b):
+        if not all(map(isinstance, b, repeat(int))):
             raise PointOutOfRange(f"non-integer point in block {b!r}")
-        if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
+        if any(map(ge, b, b[1:])):
             raise FormatError(f"block {b!r} is not strictly ascending")
         if b and (b[0] < 0 or b[-1] >= v):
             raise PointOutOfRange(f"block {b!r} has a point outside [0, {v})")
@@ -170,21 +197,24 @@ def new_set_system(v: int, blocks: Sequence[Sequence[int]], width: int | None = 
     return SetSystem(v=v, w=w, blocks=tuple(canon))
 
 
-@dataclass(frozen=True)
-class SchemeParams:
-    """Parameter triple (t, w, v) with v >= w >= t >= 2."""
-
+class _SchemeFields(NamedTuple):
     t: int
     w: int
     v: int
 
-    def __post_init__(self) -> None:
-        if not (self.v >= self.w >= self.t >= 2):
-            raise ParamsInvalid(f"need v >= w >= t >= 2, got t={self.t} w={self.w} v={self.v}")
+
+class SchemeParams(_SchemeFields):
+    """Parameter triple (t, w, v) with v >= w >= t >= 2."""
+
+    __slots__ = ()
+
+    def __new__(cls, t: int, w: int, v: int) -> SchemeParams:
+        if not (v >= w >= t >= 2):
+            raise ParamsInvalid(f"need v >= w >= t >= 2, got t={t} w={w} v={v}")
+        return super().__new__(cls, t, w, v)
 
 
-@dataclass(frozen=True)
-class OwnSubsetReport:
+class OwnSubsetReport(NamedTuple):
     """All tau-subsets of one block contained in no other block."""
 
     block_index: int
@@ -285,9 +315,14 @@ def parse_set_system(text: str) -> SetSystem:
                 raise FormatError(f"line {lineno}: bad header {line!r}")
             header = (vals["v"], vals["w"], vals["m"])
             continue
-        points = [_int_token(p, signed=False) for p in line.split()]
-        if None in points:
-            raise FormatError(f"line {lineno}: trailing garbage {line!r}")
+        tokens = line.split()
+        joined = "".join(tokens)
+        if joined.isascii() and joined.isdigit():  # then so is every token
+            points = list(map(int, tokens))
+        else:
+            points = [_int_token(p, signed=False) for p in tokens]
+            if None in points:
+                raise FormatError(f"line {lineno}: trailing garbage {line!r}")
         body.append(points)
     if header is None:
         raise FormatError("missing 'setsystem' header line")

@@ -23,8 +23,8 @@ a linking set is read off the points left in its block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .bounds import bound_report, minimal_config_size_bound
 from .core import (
@@ -57,8 +57,7 @@ from .verify import (
 PROPERTIES = ("ts", "ipps", "cff")
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     params: SchemeParams
     property: str
     optimum: int
@@ -67,16 +66,14 @@ class SearchResult:
     complete: bool
 
 
-@dataclass(frozen=True)
-class TraceBlocked:
+class TraceBlocked(NamedTuple):
     """A violation-building step whose hypothesis failed on this input."""
 
     step: str
     detail: str
 
 
-@dataclass(frozen=True)
-class ProofTraceTs:
+class ProofTraceTs(NamedTuple):
     """Intermediate objects of the cover-to-evasion construction."""
 
     b0_index: int
@@ -87,8 +84,7 @@ class ProofTraceTs:
     evasion: TsEvasion
 
 
-@dataclass(frozen=True)
-class ProofTraceIpps:
+class ProofTraceIpps(NamedTuple):
     """Intermediate objects of the missing-own-subset ambiguity construction."""
 
     selected: tuple[int, ...]
@@ -446,8 +442,7 @@ class MinimalConfigTooLarge(SchemeError):
     """A minimal configuration exceeded the proven union-size cap."""
 
 
-@dataclass(frozen=True)
-class ConfigCheck:
+class ConfigCheck(NamedTuple):
     kind: str  # "not-configuration" | "non-minimal" | "minimal"
     union_size: int | None = None
 
@@ -481,8 +476,7 @@ def check_configuration(parts, t: int) -> ConfigCheck:
     return ConfigCheck(kind="minimal", union_size=len(union))
 
 
-@dataclass(frozen=True)
-class CrossCheck:
+class CrossCheck(NamedTuple):
     params: SchemeParams
     property: str
     optimum: int

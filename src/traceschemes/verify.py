@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations, compress, repeat
 from math import comb
 from operator import and_, or_
+from typing import NamedTuple
 
 from .core import (
     FormatError,
@@ -67,8 +67,7 @@ DEFAULT_BUDGET = 10**9
 _PACKED_TABLE_BITS = 1 << 28
 
 
-@dataclass(frozen=True)
-class CffCover:
+class CffCover(NamedTuple):
     """A block contained in the union of at most ``strength`` others."""
 
     target: int
@@ -76,8 +75,7 @@ class CffCover:
     strength: int
 
 
-@dataclass(frozen=True)
-class TsEvasion:
+class TsEvasion(NamedTuple):
     """A pirate set tying-or-beating every coalition member from outside.
 
     ``pirate`` is a w-subset of the coalition's union such that the block
@@ -90,8 +88,7 @@ class TsEvasion:
     outsider: int
 
 
-@dataclass(frozen=True)
-class IppsAmbiguity:
+class IppsAmbiguity(NamedTuple):
     """A pirate set whose covers of size <= strength share no common block."""
 
     pirate: tuple[int, ...]
@@ -102,8 +99,7 @@ class IppsAmbiguity:
 Witness = CffCover | TsEvasion | IppsAmbiguity
 
 
-@dataclass(frozen=True)
-class VerifyOutcome:
+class VerifyOutcome(NamedTuple):
     verdict: str
     mode: str
     witness: Witness | None = None
@@ -480,21 +476,25 @@ class _PackedCounts:
     point of U.
     """
 
-    __slots__ = ("masks", "width", "half", "ones", "empty", "cols", "rows")
+    __slots__ = ("blocks", "masks", "width", "half", "ones", "empty", "cols", "rows")
 
     def __init__(self, s: SetSystem, t: int, pb: list[list[int]]) -> None:
+        self.blocks = s.blocks
         self.masks = s.masks
         self.width = width = ((min(t, s.m) + 1) * s.w).bit_length() + 1
         self.half = 1 << (width - 1)
         self.ones = ((1 << width * s.m) - 1) // ((1 << width) - 1)
         self.empty = (0, 0, 0, self.half * self.ones)
         cols = self.cols = _Table(lambda p: sum(1 << width * o for o in pb[p]))
-        self.rows = _Table(lambda i: sum(map(cols.__getitem__, _points(s.masks[i]))))
+        self.rows = _Table(lambda i: sum(map(cols.__getitem__, s.blocks[i])))
 
     def extend(self, state: tuple[int, int, int, int], i: int) -> tuple[int, int, int, int]:
         """The state of a coalition once block i joins it."""
         u, a, sums, guards = state
-        a += sum(map(self.cols.__getitem__, _points(self.masks[i] & ~u)))
+        cols = self.cols
+        for p in self.blocks[i]:
+            if not u >> p & 1:
+                a += cols[p]
         return u | self.masks[i], a, sums + self.rows[i], guards & ~(self.half << self.width * i)
 
     def survivors(self, state: tuple[int, int, int, int], k: int, w: int, least: int) -> int:

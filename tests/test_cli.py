@@ -87,8 +87,9 @@ def test_verify_design_and_packing(tmp_path, capsys):
 
 
 def test_verify_rejects_flags_its_property_does_not_use(tmp_path, capsys):
-    # Certified mode is for ts only and --lambda for design only; either
-    # flag elsewhere stops with an error line instead of being dropped.
+    # Certified mode is for ts only, --lambda for design only, --tau for
+    # design and packing only and --t for the other four; each flag elsewhere
+    # stops with an error line instead of being dropped.
     out = tmp_path / "fano.ss"
     main(["construct", "--family", "pg-lines", "--n", "2", "--q", "2", "-o", str(out)])
     capsys.readouterr()
@@ -105,6 +106,17 @@ def test_verify_rejects_flags_its_property_does_not_use(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "", prop
         assert captured.err == f"error: --lambda applies to design only, not {prop}\n"
+    for prop in ("ts", "ipps", "ipps-star", "cff"):
+        assert main(["verify", "--property", prop, "--t", "2", "--tau", "99", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "", prop
+        assert captured.err == f"error: --tau applies to design and packing only, not {prop}\n"
+    for prop in ("design", "packing"):
+        assert main(["verify", "--property", prop, "--tau", "2", "--t", "99", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "", prop
+        assert captured.err == \
+            f"error: --t applies to ts, ipps, ipps-star and cff only, not {prop}\n"
     assert main(["verify", "--property", "design", "--tau", "2", "--mode", "exhaustive",
                  str(out)]) == 0
     assert main(["verify", "--property", "ts", "--t", "2", "--mode", "certified",

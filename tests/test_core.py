@@ -210,6 +210,20 @@ def test_parse_rejections(text):
         parse_set_system(text)
 
 
+@pytest.mark.parametrize("line", ["+5 1", "1_0 2", "0 ٣", "٣ 1", "2 １"])
+def test_parse_rejects_points_that_int_alone_accepts(line):
+    # int() takes a sign, digit underscores and non-ASCII digits; the format
+    # takes none of them, on the fast all-digit path or off it.
+    with pytest.raises(FormatError) as err:
+        parse_set_system(f"setsystem v=12 w=2 m=1\n{line}\n")
+    assert str(err.value) == f"line 2: trailing garbage {line!r}"
+
+
+def test_parse_splits_points_on_any_whitespace():
+    text = "setsystem v=4 w=2 m=2\n0\t1\n 2 \t 3\t\n"
+    assert parse_set_system(text) == new_set_system(4, [[0, 1], [2, 3]])
+
+
 def test_render_is_canonical_under_input_order():
     a = new_set_system(6, [[3, 4, 5], [0, 1, 2]])
     b = new_set_system(6, [[0, 1, 2], [3, 4, 5]])

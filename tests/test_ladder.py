@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 LADDER = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
-KEYS = {"name", "instance", "t", "work_cap", "time_cap_s", "python", "nproc", "status",
+KEYS = {"name", "instance", "property", "t", "work_cap", "time_cap_s", "python", "nproc", "status",
         "reason", "verdict", "complete", "hash", "work", "wall_s", "runs"}
 
 
