@@ -92,13 +92,13 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _int_token(token: str, signed: bool = True) -> int | None:
-    """The value of an ASCII decimal token, else None.
+def _int_token(token: str) -> int | None:
+    """The value of an ASCII decimal token with an optional leading '-', else None.
 
-    ``signed`` allows one leading '-'.  ``str.isdigit`` alone also accepts
-    non-ASCII digits such as '²', which ``int`` then rejects.
+    ``str.isdigit`` alone also accepts non-ASCII digits such as '²', which
+    ``int`` then rejects.
     """
-    digits = token[1:] if signed and token.startswith("-") else token
+    digits = token[1:] if token.startswith("-") else token
     if digits.isascii() and digits.isdigit():
         return int(token)
     return None
@@ -213,6 +213,11 @@ class SchemeParams(_SchemeFields):
             raise ParamsInvalid(f"need v >= w >= t >= 2, got t={t} w={w} v={v}")
         return super().__new__(cls, t, w, v)
 
+    @classmethod
+    def _make(cls, iterable) -> SchemeParams:
+        """Build through ``__new__``, so ``_replace`` validates too."""
+        return cls(*iterable)
+
 
 class OwnSubsetReport(NamedTuple):
     """All tau-subsets of one block contained in no other block."""
@@ -317,13 +322,9 @@ def parse_set_system(text: str) -> SetSystem:
             continue
         tokens = line.split()
         joined = "".join(tokens)
-        if joined.isascii() and joined.isdigit():  # then so is every token
-            points = list(map(int, tokens))
-        else:
-            points = [_int_token(p, signed=False) for p in tokens]
-            if None in points:
-                raise FormatError(f"line {lineno}: trailing garbage {line!r}")
-        body.append(points)
+        if not (joined.isascii() and joined.isdigit()):  # exactly when every token is
+            raise FormatError(f"line {lineno}: trailing garbage {line!r}")
+        body.append(list(map(int, tokens)))
     if header is None:
         raise FormatError("missing 'setsystem' header line")
     v, w, m = header

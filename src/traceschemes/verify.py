@@ -476,10 +476,9 @@ class _PackedCounts:
     point of U.
     """
 
-    __slots__ = ("blocks", "masks", "width", "half", "ones", "empty", "cols", "rows")
+    __slots__ = ("masks", "width", "half", "ones", "empty", "cols", "rows")
 
     def __init__(self, s: SetSystem, t: int, pb: list[list[int]]) -> None:
-        self.blocks = s.blocks
         self.masks = s.masks
         self.width = width = ((min(t, s.m) + 1) * s.w).bit_length() + 1
         self.half = 1 << (width - 1)
@@ -491,10 +490,7 @@ class _PackedCounts:
     def extend(self, state: tuple[int, int, int, int], i: int) -> tuple[int, int, int, int]:
         """The state of a coalition once block i joins it."""
         u, a, sums, guards = state
-        cols = self.cols
-        for p in self.blocks[i]:
-            if not u >> p & 1:
-                a += cols[p]
+        a += sum(map(self.cols.__getitem__, _points(self.masks[i] & ~u)))
         return u | self.masks[i], a, sums + self.rows[i], guards & ~(self.half << self.width * i)
 
     def survivors(self, state: tuple[int, int, int, int], k: int, w: int, least: int) -> int:

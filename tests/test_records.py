@@ -96,6 +96,11 @@ def test_scheme_params_still_validates():
         SchemeParams(2, 1, 5)
     with pytest.raises(ParamsInvalid):
         SchemeParams(t=2, w=1, v=5)
+    with pytest.raises(ParamsInvalid):
+        SchemeParams(2, 3, 5)._replace(w=1)
+    with pytest.raises(ParamsInvalid):
+        SchemeParams._make((2, 1, 5))
+    assert SchemeParams(2, 3, 5)._replace(v=7) == SchemeParams(2, 3, 7)
 
 
 def test_own_subset_count_is_the_field():
