@@ -2,17 +2,18 @@
 
 Usage, from the repository root:
 
-    python bench/ladder.py --out BENCH_15.json [--rungs NAME,NAME,...]
-    python bench/ladder.py --compare BENCH_14.json BENCH_15.json
+    python bench/ladder.py --out BENCH_16.json [--rungs NAME,NAME,...]
+    python bench/ladder.py --compare BENCH_15.json BENCH_16.json
 
 Each run of a rung is a child process of this script (``--run NAME``) that
 builds the system from ``src/`` next to this file, decides the rung's
-property with its exhaustive decider (``verify_ts`` or ``verify_cff``) at
-the rung's work cap as budget, and prints one JSON line.  A rung runs
-three times, or once when its first run takes over 5 s; its wall time is
-the median of the in-process times of the decider.  A rung
-that stops at its work cap (verdict inconclusive) or is killed at its time
-cap is recorded as ``gave-up``; the first keeps the work it reached.
+property with its exhaustive decider (``verify_ts``, ``verify_cff`` or
+``verify_ipps``) at the rung's work cap as budget, and prints one JSON
+line.  A rung runs three times, or once when its first run takes over
+5 s; its wall time is the median of the in-process times of the decider.
+A rung that stops at its work cap (verdict inconclusive) or is killed at
+its time cap is recorded as ``gave-up``; the first keeps the work it
+reached.
 
 ``--compare`` prints the work and wall-time deltas per rung and exits 1
 only if a verdict or a hash of verdict and witness differs between two
@@ -51,6 +52,12 @@ RUNGS = {
     "cff-hermitian-4-t3": ("hermitian_unital(4)", "cff", 3, 10**7, 60),
     "cff-pg33-t3": ("pg_lines(3, 3)", "cff", 3, 10**7, 60),
     "cff-pg29-t9": ("pg_lines(2, 9)", "cff", 9, 5 * 10**6, 120),
+    "ipps-pg24-t2": ("pg_lines(2, 4)", "ipps", 2, 10**7, 60),
+    "ipps-ag25-t2": ("ag_lines(2, 5)", "ipps", 2, 10**7, 60),
+    "ipps-hermitian-4-t2": ("hermitian_unital(4)", "ipps", 2, 10**7, 60),
+    "ipps-pg216-t4": ("pg_lines(2, 16)", "ipps", 4, 10**7, 60),
+    "ipps-pg216-plus-block-t4": ("new_set_system(273, [*pg_lines(2, 16).blocks, "
+                                 "tuple(range(1, 18))])", "ipps", 4, 10**6, 60),
 }
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import comb
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -23,7 +24,6 @@ from .core import (
     SchemeError,
     SchemeParams,
     _own_subsets,
-    enumerate_own_subsets,
     parse_set_system,
     render_set_system,
 )
@@ -182,15 +182,22 @@ def _cmd_trace(args) -> int:
 
 def _cmd_own_subsets(args) -> int:
     system = _load_system(args.file)
-    if args.block is None:  # counted one at a time, so no block's subsets are kept
-        for i in range(system.m):
-            count = sum(1 for _ in _own_subsets(system, i, args.tau))
-            print(f"block {i} tau={args.tau} count={count}")
-        return EXIT_OK
-    report = enumerate_own_subsets(system, args.block, args.tau)
-    print(f"block {args.block} tau={args.tau} count={report.count}")
-    for sub in report.own_subsets:
-        print("own " + " ".join(map(str, sub)))
+    left = args.budget  # one work unit per tau-subset tested, a block's all at once
+    for i in range(system.m) if args.block is None else (args.block,):
+        subsets = _own_subsets(system, i, args.tau)  # checks the block index and tau
+        tests = comb(system.w, args.tau)
+        if tests > left:
+            print(f"budget exceeded: block {i} has {tests} {args.tau}-subsets to test, "
+                  f"{left} work units left", file=sys.stderr)
+            return EXIT_INCONCLUSIVE
+        left -= tests
+        if args.block is None:  # counted one at a time, so no block's subsets are kept
+            print(f"block {i} tau={args.tau} count={sum(1 for _ in subsets)}")
+        else:
+            own = list(subsets)
+            print(f"block {i} tau={args.tau} count={len(own)}")
+            for sub in own:
+                print("own " + " ".join(map(str, sub)))
     return EXIT_OK
 
 
@@ -206,13 +213,15 @@ def _cmd_check_witness(args) -> int:
 def _cmd_stats(args) -> int:
     system = _load_system(args.file)
     print(f"stats v={system.v} w={system.w} m={system.m}")
+    cols = verify_mod._point_columns(system)
     if system.m >= 2:
-        lo, hi = system.w, 0  # a block missing some other block makes the minimum 0
-        for counts in verify_mod._overlaps(system, verify_mod._Work()):
-            hi = max(hi, max(counts.values(), default=0))
-            lo = min(lo, min(counts.values())) if len(counts) == system.m - 1 else 0
+        lo, hi = system.w, 0
+        every = (1 << system.m) - 1
+        for i, planes in enumerate(verify_mod._overlaps(system, verify_mod._Work(), cols)):
+            hi = max(hi, verify_mod._largest(planes))
+            lo = min(lo, verify_mod._least(planes, every & ~(1 << i)))
         print(f"pair-intersections min={lo} max={hi}")
-    degrees = list(map(len, verify_mod._point_blocks(system)))
+    degrees = list(map(int.bit_count, cols))
     if system.v:
         print(f"point-degrees min={min(degrees)} max={max(degrees)}")
     return EXIT_OK
@@ -275,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("own-subsets", help="count own-subsets per block")
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--block", type=int)
+    p.add_argument("--budget", type=int, default=verify_mod.DEFAULT_BUDGET)
     p.add_argument("file")
     p.set_defaults(func=_cmd_own_subsets)
 

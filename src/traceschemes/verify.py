@@ -34,7 +34,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from functools import reduce
-from itertools import chain, combinations, compress, repeat
+from itertools import combinations, compress, repeat
 from math import comb
 from operator import and_, or_
 from typing import NamedTuple
@@ -150,20 +150,85 @@ def _point_blocks(s: SetSystem) -> list[list[int]]:
     return pb
 
 
-def _overlaps(s: SetSystem, work: _Work, pb: list[list[int]] | None = None):
-    """For each block i in turn, a Counter of |B_i & B_j| over the j != i meeting B_i.
+def _point_columns(s: SetSystem) -> list[int]:
+    """``cols[p]`` has bit j set iff point p lies in block j."""
+    cols = [0] * s.v
+    for j, b in enumerate(s.blocks):
+        bit = 1 << j
+        for p in b:
+            cols[p] |= bit
+    return cols
 
-    Counted through the point -> blocks index ``pb`` (built here if not
-    given), so block i costs the sum of its points' degrees, one work unit
-    each, paid before its Counter is built.
+
+def _overlaps(s: SetSystem, work: _Work, cols: list[int] | None = None):
+    """For each block i in turn, |B_i & B_j| for every block j, bit-sliced.
+
+    Yields a list of planes: bit j of ``planes[k]`` is bit k of
+    |B_i & B_j|, and bit i is clear in every plane.  The planes are
+    counters added to one point column of B_i at a time (``cols``, built
+    here if not given), with a carry rippling up while it lasts, so the
+    counts of all blocks move at once.  Block i costs the sum of its
+    points' degrees, one work unit each, paid before its planes are built.
+    Read them with :func:`_largest`, :func:`_least` and :func:`_at_least`.
     """
-    pb = _point_blocks(s) if pb is None else pb
+    cols = _point_columns(s) if cols is None else cols
+    degrees = list(map(int.bit_count, cols))
     for i, b in enumerate(s.blocks):
-        lists = [pb[p] for p in b]
-        work.tick(sum(map(len, lists)))
-        counts = Counter(chain.from_iterable(lists))
-        del counts[i]
-        yield counts
+        work.tick(sum(map(degrees.__getitem__, b)))
+        others = ~(1 << i)
+        planes: list[int] = []
+        for p in b:
+            carry = cols[p] & others
+            k = 0
+            while carry:
+                if k == len(planes):
+                    planes.append(carry)
+                    break
+                plane = planes[k]
+                planes[k] = plane ^ carry
+                carry &= plane
+                k += 1
+        yield planes
+
+
+def _largest(planes: list[int]) -> int:
+    """The largest count held in ``planes`` (0 if none)."""
+    among, top = -1, 0
+    for k in range(len(planes) - 1, -1, -1):
+        rest = among & planes[k]
+        if rest:
+            among, top = rest, top | 1 << k
+    return top
+
+
+def _least(planes: list[int], among: int) -> int:
+    """The least count held in ``planes`` by the blocks of the non-empty mask ``among``."""
+    low = 0
+    for k in range(len(planes) - 1, -1, -1):
+        rest = among & ~planes[k]
+        if rest:
+            among = rest
+        else:
+            low |= 1 << k
+    return low
+
+
+def _at_least(planes: list[int], tau: int) -> int:
+    """The blocks whose count in ``planes`` is >= tau >= 1, as a mask.
+
+    Compared from the top bit down: ``equal`` holds the counts whose bits
+    so far match tau's, ``above`` those already past it.
+    """
+    if tau >> len(planes):
+        return 0
+    above, equal = 0, -1
+    for k in range(len(planes) - 1, -1, -1):
+        if tau >> k & 1:
+            equal &= planes[k]
+        else:
+            above |= equal & planes[k]
+            equal &= ~planes[k]
+    return above | equal
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +275,12 @@ def verify_packing(s: SetSystem, tau: int, budget: int = DEFAULT_BUDGET) -> Veri
     try:
         # Every two blocks must share < tau points; report the least shared tau-subset.
         repeated: tuple[int, ...] | None = None
-        for i, counts in enumerate(_overlaps(s, work)):
-            if max(counts.values(), default=0) < tau:
-                continue
-            for j, c in counts.items():
-                if j > i and c >= tau:
-                    other = s.masks[j]
-                    cand = tuple(p for p in s.blocks[i] if other >> p & 1)[:tau]
-                    if repeated is None or cand < repeated:
-                        repeated = cand
+        for i, planes in enumerate(_overlaps(s, work)):
+            for j in _points(_at_least(planes, tau) >> (i + 1) << (i + 1)):
+                other = s.masks[j]
+                cand = tuple(p for p in s.blocks[i] if other >> p & 1)[:tau]
+                if repeated is None or cand < repeated:
+                    repeated = cand
         if repeated is None:
             return VerifyOutcome(HOLDS, EXHAUSTIVE, work=work.count)
         detail = f"{tau}-subset {list(repeated)} covered more than once"
@@ -574,7 +636,7 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
         tau = _ceil_div(s.w, t * t)
         try:
             # Only the verdict is needed: stop at the first block meeting another in tau points.
-            packs = all(max(counts.values(), default=0) < tau for counts in _overlaps(s, work))
+            packs = not any(_at_least(planes, tau) for planes in _overlaps(s, work))
         except _BudgetStop:
             packs = None
         if packs:
@@ -601,7 +663,7 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
     packed = _PackedCounts(s, t, pb)
     fits = (s.v + m + 3 * min(t, m)) * m * packed.width <= _PACKED_TABLE_BITS
     try:
-        maxima = (max(counts.values(), default=0) for counts in _overlaps(s, work, pb))
+        maxima = map(_largest, _overlaps(s, work))
         rowmax: list[int] = []
         c: list[int] = [0]
         states: list[tuple[int, int, int, int] | None] = [None]
@@ -656,12 +718,17 @@ def _ipps_levels(masks, t: int, work: _Work):
 
     Each level comes in lexicographic order and is paid for, one work unit
     per selection, just before it is listed, so the budget also bounds
-    memory and a caller that stops early pays for no later level.
+    memory and a caller that stops early pays for no later level.  A level
+    the budget cannot pay for is refused before it is charged, so a stop
+    reports the work of the levels listed.
     """
     m = len(masks)
     level = [(0, 0, -1)]  # the empty selection
     for k in range(1, min(t, m) + 1):
-        work.tick(comb(m, k))
+        size = comb(m, k)
+        if work.count + size > work.budget:
+            raise _BudgetStop
+        work.count += size
         level = [(u | masks[j], b | 1 << j, j) for u, b, i in level for j in range(i + 1, m)]
         yield [u for u, _, _ in level], [b for _, b, _ in level]
 

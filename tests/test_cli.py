@@ -289,6 +289,31 @@ def test_own_subsets_counts_without_keeping_them(tmp_path, capsys):
     assert capsys.readouterr().err == "error: tau=25 outside [1, 24]\n"
 
 
+def test_own_subsets_budget_pays_for_each_block_before_it(tmp_path, capsys):
+    # One work unit per tau-subset tested.  Block 0 of the trivial scheme
+    # alone has C(40, 12), about 5.6e9, so the command stops before it.
+    path = tmp_path / "triv.ss"
+    main(["construct", "--family", "trivial", "--v", "60", "--w", "40", "-o", str(path)])
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["own-subsets", "--tau", "12", "--budget", "1000000", str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", "budget exceeded: block 0 has 5586853480 12-subsets "
+                                       "to test, 1000000 work units left\n")
+    # Each line of PG(2, 4) has C(5, 2) = 10 pairs: 25 units pay for two blocks.
+    pg24 = tmp_path / "pg24.ss"
+    main(["construct", "--family", "pg-lines", "--n", "2", "--q", "4", "-o", str(pg24)])
+    capsys.readouterr()
+    assert main(["own-subsets", "--tau", "2", "--budget", "25", str(pg24)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "block 0 tau=2 count=10\nblock 1 tau=2 count=10\n"
+    assert captured.err == "budget exceeded: block 2 has 10 2-subsets to test, 5 work units left\n"
+    assert main(["own-subsets", "--tau", "2", "--block", "3", "--budget", "9", str(pg24)]) == 3
+    assert capsys.readouterr().out == ""
+    assert main(["own-subsets", "--tau", "2", "--block", "3", "--budget", "10", str(pg24)]) == 0
+    assert capsys.readouterr().out.count("own ") == 10
+
+
 def test_stats_command(tmp_path, capsys):
     out = tmp_path / "pg24.ss"
     main(["construct", "--family", "pg-lines", "--n", "2", "--q", "4", "-o", str(out)])

@@ -3,8 +3,10 @@
 import ast
 import hashlib
 import random
+import sys
 import time
 import timeit
+import tracemalloc
 from itertools import combinations, islice, product
 from math import comb
 from pathlib import Path
@@ -44,9 +46,12 @@ from traceschemes import (
 from traceschemes.core import FormatError, _ceil_div, _points, _union
 from traceschemes.oracle import _ipps_push
 from traceschemes.verify import (
+    _at_least,
     _BudgetStop,
     _ipps_ambiguity,
     _ipps_levels,
+    _largest,
+    _least,
     _overlaps,
     _PackedCounts,
     _point_blocks,
@@ -819,7 +824,7 @@ def test_ts_witness_matches_pirate_set_scan(case):
 
 def _assert_row_max_skips_are_sound(s, t):
     """Check the rowmax skip on every coalition of 2..t blocks; count the skips."""
-    rowmax = [max(counts.values(), default=0) for counts in _overlaps(s, _Work(10**9))]
+    rowmax = list(map(_largest, _overlaps(s, _Work(10**9))))
     blocks = [set(b) for b in s.blocks]
     assert rowmax == [max(len(b & c) for j, c in enumerate(blocks) if j != i)
                       for i, b in enumerate(blocks)]
@@ -844,6 +849,61 @@ def test_row_max_skip_admits_no_evasion(s, t):
 def test_row_max_skips_every_pair_of_lines():
     # Lines of PG(2, 4) meet in one point: two members reach at most 2 < 3.
     assert _assert_row_max_skips_are_sound(pg_lines(2, 4), 2) == 210
+
+
+@st.composite
+def overlap_systems(draw):
+    """Up to 100 blocks of one to nine points on at most 14, so the planes
+    may span several 64-bit digits and counts may reach eight."""
+    v = draw(st.integers(1, 14))
+    w = draw(st.integers(1, min(9, v)))
+    block = st.lists(st.integers(0, v - 1), min_size=w, max_size=w, unique=True)
+    blocks = draw(st.lists(block.map(sorted).map(tuple), min_size=1, max_size=100, unique=True))
+    return new_set_system(v, blocks)
+
+
+@given(overlap_systems(), st.integers(1, 9))
+# 252 blocks, so planes of several digits, and counts 3 and 4.
+@example(new_set_system(10, list(combinations(range(10), 5))), 4)
+@example(new_set_system(10, [(0, 1, 2, 3, 4), (1, 2, 3, 4, 5), (0, 1, 2, 6, 7)]), 4)
+# Counts 8, 7 and 6.
+@example(new_set_system(12, [tuple(range(9)), tuple(range(1, 10)), (*range(7), 10, 11)]), 8)
+@example(new_set_system(5, [(0,), (1,), (3,)]), 1)  # w = 1
+@example(new_set_system(12, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]), 1)  # disjoint
+@example(new_set_system(5, list(combinations(range(5), 3))), 2)  # every two blocks meet
+@example(new_set_system(4, [(0, 1, 2)]), 1)  # m = 1
+def test_overlap_kernel_matches_pairwise_counts(s, tau):
+    blocks = [set(b) for b in s.blocks]
+    degree = [sum(p in b for b in blocks) for p in range(s.v)]
+    work, spent = _Work(), 0
+    for i, planes in enumerate(_overlaps(s, work)):
+        spent += sum(degree[p] for p in blocks[i])
+        assert work.count == spent  # paid block by block, before each is read
+        counts = {j: len(blocks[i] & b) for j, b in enumerate(blocks) if j != i}
+        assert _largest(planes) == max(counts.values(), default=0)
+        if counts:
+            assert _least(planes, sum(1 << j for j in counts)) == min(counts.values())
+        assert _at_least(planes, tau) == sum(1 << j for j, c in counts.items() if c >= tau)
+    assert i == s.m - 1
+
+
+def test_overlap_kernel_memory_stays_near_the_masks():
+    # 20,000 two-point blocks on 4,096 points.  The point columns hold the
+    # incidences of the block masks transposed, and one block's planes are
+    # kept at a time, so the peak stays within twice the masks' bytes.
+    rng = random.Random(16)
+    pairs = set()
+    while len(pairs) < 20_000:
+        pairs.add(tuple(sorted(rng.sample(range(4096), 2))))
+    s = new_set_system(4096, pairs)
+    masks = sum(map(sys.getsizeof, s.masks))
+    tracemalloc.start()
+    try:
+        assert max(map(_largest, _overlaps(s, _Work()))) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * masks, (peak, masks)
 
 
 @given(st.one_of(wide_systems(), sparse_systems()), st.integers(2, 4), st.integers(0, 2000))
@@ -1134,6 +1194,26 @@ def test_ts_ladder_outcomes_and_work_are_pinned():
     ]
     for s, t, budget, expected in rungs:
         assert repr(verify_ts(s, t, budget=budget)) == expected, (s.v, s.w, t)
+
+
+def test_ipps_ladder_outcomes_and_work_are_pinned():
+    # The IPPS rungs of the work ladder (bench/ladder.py).  Four are settled
+    # by the pairwise certificate after the single and pair selections.  In
+    # the fifth the block {1..17} meets lines of PG(2, 16) in two points, so
+    # the triples would be listed next; the budget cannot pay for them, so
+    # they are refused unlisted and the work is that of the levels listed.
+    certified = "pairwise intersections below 2 certify a {0}-TS, so a {0}-IPPS"
+    planted = new_set_system(273, [*pg_lines(2, 16).blocks, tuple(range(1, 18))])
+    rungs = [
+        (pg_lines(2, 4), 2, 10**9, _outcome("holds", 231, detail=certified.format(2))),
+        (ag_lines(2, 5), 2, 10**9, _outcome("holds", 465, detail=certified.format(2))),
+        (hermitian_unital(4), 2, 10**9, _outcome("holds", 21736, detail=certified.format(2))),
+        (pg_lines(2, 16), 4, 10**9, _outcome("holds", 37401, detail=certified.format(4))),
+        (planted, 4, 10**6, _outcome("inconclusive", 274 + comb(274, 2),
+                                     detail="BudgetExceeded")),
+    ]
+    for s, t, budget, expected in rungs:
+        assert repr(verify_ipps(s, t, budget=budget)) == expected, (s.v, s.w, t)
 
 
 def test_ts_outsider_filter_keeps_wide_coalitions_cheap():
