@@ -2,8 +2,8 @@
 
 Usage, from the repository root:
 
-    python bench/ladder.py --out BENCH_16.json [--rungs NAME,NAME,...]
-    python bench/ladder.py --compare BENCH_15.json BENCH_16.json
+    python bench/ladder.py --out BENCH_17.json [--rungs NAME,NAME,...]
+    python bench/ladder.py --compare BENCH_16.json BENCH_17.json
 
 Each run of a rung is a child process of this script (``--run NAME``) that
 builds the system from ``src/`` next to this file, decides the rung's

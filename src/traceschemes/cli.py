@@ -46,43 +46,44 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _extend(args):
+    base = _load_system(args.base)
+    system, cert = construct_mod.extend_design(base, args.d, args.t)
+    print(f"certificate: d={cert.d} t={cert.t} tau={cert.tau} "
+          f"base=from-file {cert.tau}-({base.v},{base.w},1)", file=sys.stderr)
+    return system
+
+
+# family -> (the flags it reads, the builder).  Every flag but --budget
+# (default construct.DEFAULT_BUDGET) is then required; any other is refused.
+_FAMILIES = {
+    "trivial": (("v", "w", "budget"), lambda a: construct_mod.trivial_ts(a.v, a.w, a.budget)),
+    "pg-lines": (("n", "q", "budget"), lambda a: construct_mod.pg_lines(a.n, a.q, a.budget)),
+    "ag-lines": (("n", "q", "budget"), lambda a: construct_mod.ag_lines(a.n, a.q, a.budget)),
+    "inversive": (("q", "budget"), lambda a: construct_mod.inversive_plane(a.q, a.budget)),
+    "hermitian": (("q", "budget"), lambda a: construct_mod.hermitian_unital(a.q, a.budget)),
+    "greedy": (("v", "w", "t", "budget"),
+               lambda a: construct_mod.greedy_packing_ts(a.v, a.w, a.t, budget=a.budget)),
+    "extend": (("base", "d", "t"), _extend),
+}
+_CONSTRUCT_FLAGS = ("v", "w", "n", "q", "t", "d", "base", "budget")
+
+
 def _cmd_construct(args) -> int:
     fam = args.family
-    if fam == "trivial":
-        _require(args, "v", "w")
-        system = construct_mod.trivial_ts(args.v, args.w, args.budget)
-    elif fam == "pg-lines":
-        _require(args, "n", "q")
-        system = construct_mod.pg_lines(args.n, args.q, args.budget)
-    elif fam == "ag-lines":
-        _require(args, "n", "q")
-        system = construct_mod.ag_lines(args.n, args.q, args.budget)
-    elif fam == "inversive":
-        _require(args, "q")
-        system = construct_mod.inversive_plane(args.q, args.budget)
-    elif fam == "hermitian":
-        _require(args, "q")
-        system = construct_mod.hermitian_unital(args.q, args.budget)
-    elif fam == "greedy":
-        _require(args, "v", "w", "t")
-        system = construct_mod.greedy_packing_ts(args.v, args.w, args.t, budget=args.budget)
-    elif fam == "extend":
-        _require(args, "base", "d", "t")
-        base = _load_system(args.base)
-        system, cert = construct_mod.extend_design(base, args.d, args.t)
-        print(f"certificate: d={cert.d} t={cert.t} tau={cert.tau} "
-              f"base=from-file {cert.tau}-({base.v},{base.w},1)", file=sys.stderr)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SchemeError(f"unknown family {fam}")
+    reads, build = _FAMILIES[fam]
+    for flag in _CONSTRUCT_FLAGS:
+        if flag not in reads and getattr(args, flag) is not None:
+            raise SchemeError(f"family {fam!r} does not read --{flag}")
+    missing = [f for f in reads if f != "budget" and getattr(args, f) is None]
+    if missing:
+        raise SchemeError(f"family {fam!r} needs --" + ", --".join(missing))
+    if args.budget is None:
+        args.budget = construct_mod.DEFAULT_BUDGET
+    system = build(args)
     _write_output(render_set_system(system), args.output)
     print(f"constructed {fam}: v={system.v} w={system.w} m={system.m}", file=sys.stderr)
     return EXIT_OK
-
-
-def _require(args, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
-    if missing:
-        raise SchemeError(f"family {args.family!r} needs --" + ", --".join(missing))
 
 
 def _cmd_verify(args) -> int:
@@ -234,17 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="generate a set system")
-    p.add_argument("--family", required=True,
-                   choices=["trivial", "pg-lines", "ag-lines", "inversive",
-                            "hermitian", "greedy", "extend"])
-    p.add_argument("--v", type=int)
-    p.add_argument("--w", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--base")
-    p.add_argument("--budget", type=int, default=construct_mod.DEFAULT_BUDGET)
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
+    for flag in _CONSTRUCT_FLAGS:
+        p.add_argument(f"--{flag}", type=None if flag == "base" else int)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_construct)
 
@@ -306,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if getattr(args, "budget", 0) < 0:
+        if (getattr(args, "budget", None) or 0) < 0:
             raise ParamsInvalid(f"--budget must be >= 0, got {args.budget}")
         return args.func(args)
     except (SchemeError, OSError) as exc:

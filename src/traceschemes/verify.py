@@ -10,14 +10,12 @@ of each of its prefixes.  It first drops every outsider of a coalition
 that cannot overlap the union enough, all at once, by big-integer sums of
 overlap counts packed one field per block; it then decides whether some
 pirate set evades the coalition by counting overlaps, and builds the
-witness's pirate set a point at a time by the same counting.  For IPPS it
-first reads the pairwise-intersection packing condition off the pair
-unions it lists anyway (a t-TS is a t-IPPS), and otherwise extends
-ambiguous point sets depth first, a point at a time.
-Certified mode, for TS only, proves the property from that packing
-condition or from a design-extension certificate, and says "inconclusive"
-otherwise; IPPS needs no such mode, since its certificate costs nothing
-beyond the exhaustive decision.
+witness's pirate set a point at a time by the same counting.
+Certified mode, for TS only, proves the property from the pairwise
+packing condition or from a design-extension certificate, and says
+"inconclusive" otherwise.  IPPS tries that packing condition first (a
+t-TS is a t-IPPS), and otherwise extends ambiguous point sets depth
+first, a point at a time.
 
 Every depth-first search here, over CFF covers, TS coalitions, TS cell
 packings and IPPS point sets, is a loop over an explicit stack, so no input
@@ -231,6 +229,17 @@ def _at_least(planes: list[int], tau: int) -> int:
     return above | equal
 
 
+def _packing_pairs(s: SetSystem, tau: int, work: _Work):
+    """For each block i in turn, the mask of the blocks j > i meeting B_i in >= tau points.
+
+    Read off :func:`_overlaps`, at its cost.  A block meeting an earlier one
+    was met by it first, so the first non-empty mask is at the first block
+    meeting any other.
+    """
+    for i, planes in enumerate(_overlaps(s, work)):
+        yield _at_least(planes, tau) >> (i + 1) << (i + 1)
+
+
 # ---------------------------------------------------------------------------
 # designs and packings
 
@@ -275,8 +284,8 @@ def verify_packing(s: SetSystem, tau: int, budget: int = DEFAULT_BUDGET) -> Veri
     try:
         # Every two blocks must share < tau points; report the least shared tau-subset.
         repeated: tuple[int, ...] | None = None
-        for i, planes in enumerate(_overlaps(s, work)):
-            for j in _points(_at_least(planes, tau) >> (i + 1) << (i + 1)):
+        for i, later in enumerate(_packing_pairs(s, tau, work)):
+            for j in _points(later):
                 other = s.masks[j]
                 cand = tuple(p for p in s.blocks[i] if other >> p & 1)[:tau]
                 if repeated is None or cand < repeated:
@@ -635,8 +644,7 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
             return VerifyOutcome(HOLDS, CERTIFIED, detail="at most one block", work=0)
         tau = _ceil_div(s.w, t * t)
         try:
-            # Only the verdict is needed: stop at the first block meeting another in tau points.
-            packs = not any(_at_least(planes, tau) for planes in _overlaps(s, work))
+            packs = not any(_packing_pairs(s, tau, work))
         except _BudgetStop:
             packs = None
         if packs:
@@ -713,16 +721,16 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
 # parent-identifying set systems
 
 
-def _ipps_levels(masks, t: int, work: _Work):
-    """Union and block bits of the selections of k blocks, for k = 1..min(t, m).
+def _ipps_selections(masks, t: int, work: _Work) -> tuple[list[int], list[int]]:
+    """Unions and block bits of the selections of 1..min(t, m) blocks.
 
-    Each level comes in lexicographic order and is paid for, one work unit
-    per selection, just before it is listed, so the budget also bounds
-    memory and a caller that stops early pays for no later level.  A level
-    the budget cannot pay for is refused before it is charged, so a stop
-    reports the work of the levels listed.
+    Listed size by size, each size in lexicographic order and paid for, one
+    work unit per selection, just before it is listed, so the budget also
+    bounds memory.  A size the budget cannot pay for is refused before it is
+    charged, so a stop reports the work of the sizes listed.
     """
     m = len(masks)
+    unions, bits = [], []
     level = [(0, 0, -1)]  # the empty selection
     for k in range(1, min(t, m) + 1):
         size = comb(m, k)
@@ -730,7 +738,9 @@ def _ipps_levels(masks, t: int, work: _Work):
             raise _BudgetStop
         work.count += size
         level = [(u | masks[j], b | 1 << j, j) for u, b, i in level for j in range(i + 1, m)]
-        yield [u for u, _, _ in level], [b for _, b, _ in level]
+        unions += [u for u, _, _ in level]
+        bits += [b for _, b, _ in level]
+    return unions, bits
 
 
 def _ipps_ambiguity(unions: list[int], bits: list[int], w: int, work: _Work,
@@ -738,7 +748,7 @@ def _ipps_ambiguity(unions: list[int], bits: list[int], w: int, work: _Work,
     """Lexicographically first ambiguous w-set and the block bits of its covers.
 
     ``unions`` and ``bits`` list the selections of at most t blocks, in any
-    order, such as the levels of :func:`_ipps_levels` joined.  A point set
+    order, such as those of :func:`_ipps_selections`.  A point set
     is ambiguous when some selection covers it and the selections that
     cover it share no block.  A cover of a set covers each of its subsets, so the subsets of
     an ambiguous set are ambiguous: a depth-first walk over points in
@@ -795,12 +805,12 @@ def verify_ipps(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOut
     """Holds iff every width-w pirate set with a cover has a common parent block.
 
     A t-TS is a t-IPPS: a block of largest overlap with the pirate set lies
-    in every cover.  So once the single and pair selections are listed, a
-    system in which every two blocks share fewer than ceil(w/t^2) points,
-    read off the pair unions as 2w - |B_i | B_j|, holds by the pairwise
-    condition of certified TS, and no larger selection is listed.  Otherwise the rest
-    are listed and :func:`_ipps_ambiguity` decides; a violation reports the
-    lexicographically first ambiguous w-set and all its minimal covers.
+    in every cover.  So a system in which every two blocks share fewer than
+    ceil(w/t^2) points holds by the pairwise condition of certified TS,
+    checked by its scan at its cost, and no selection is listed.  Otherwise
+    the selections of at most t blocks are listed and :func:`_ipps_ambiguity`
+    decides; a violation reports the lexicographically first ambiguous w-set
+    and all its minimal covers.
     """
     if t < 1:
         raise ParamsInvalid(f"strength t={t} must be >= 1")
@@ -808,16 +818,11 @@ def verify_ipps(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOut
         return VerifyOutcome(HOLDS, EXHAUSTIVE, work=0)
     work = _Work(budget)
     tau = _ceil_div(s.w, t * t)
-    unions: list[int] = []
-    bits: list[int] = []
     try:
-        for k, (level, level_bits) in enumerate(_ipps_levels(s.masks, t, work), 1):
-            unions += level
-            bits += level_bits
-            if k == 2 and 2 * s.w - min(map(int.bit_count, level)) < tau:
-                detail = f"pairwise intersections below {tau} certify a {t}-TS, so a {t}-IPPS"
-                return VerifyOutcome(HOLDS, EXHAUSTIVE, detail=detail, work=work.count)
-        found = _ipps_ambiguity(unions, bits, s.w, work)
+        if not any(_packing_pairs(s, tau, work)):
+            detail = f"pairwise intersections below {tau} certify a {t}-TS, so a {t}-IPPS"
+            return VerifyOutcome(HOLDS, EXHAUSTIVE, detail=detail, work=work.count)
+        found = _ipps_ambiguity(*_ipps_selections(s.masks, t, work), s.w, work)
     except _BudgetStop:
         return VerifyOutcome(INCONCLUSIVE, EXHAUSTIVE, detail=BUDGET_EXCEEDED, work=work.count)
     if found is None:

@@ -376,6 +376,37 @@ def test_extend_via_cli(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_construct_refuses_flags_its_family_does_not_read(tmp_path, capsys):
+    base = tmp_path / "pg24.ss"
+    assert main(["construct", "--family", "pg-lines", "--n", "2", "--q", "4",
+                 "-o", str(base)]) == 0
+    reads = {
+        "trivial": {"--v": "9", "--w": "3", "--budget": "1000"},
+        "pg-lines": {"--n": "2", "--q": "3", "--budget": "1000"},
+        "ag-lines": {"--n": "2", "--q": "3", "--budget": "1000"},
+        "inversive": {"--q": "3", "--budget": "1000"},
+        "hermitian": {"--q": "2", "--budget": "1000"},
+        "greedy": {"--v": "9", "--w": "3", "--t": "2", "--budget": "1000"},
+        "extend": {"--base": str(base), "--d": "1", "--t": "2"},
+    }
+    values = {"--v": "9", "--w": "3", "--n": "2", "--q": "3", "--t": "2", "--d": "1",
+              "--base": str(base), "--budget": "1000"}
+    for family, flags in reads.items():
+        argv = ["construct", "--family", family, *(x for pair in flags.items() for x in pair)]
+        assert main(argv) == 0, family
+        assert capsys.readouterr().out.startswith("setsystem "), family
+        for flag, value in values.items():
+            if flag not in flags:
+                assert main([*argv, flag, value]) == 2, (family, flag)
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: family {family!r} does not read {flag}\n"
+    assert main(["construct", "--family", "pg-lines", "--q", "4"]) == 2
+    assert capsys.readouterr().err == "error: family 'pg-lines' needs --n\n"
+    assert main(["construct", "--family", "extend", "--budget", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --budget must be >= 0, got -1\n"
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main(["verify", "--property", "nonsense", "x"]) == 2
     assert main(["verify", "--property", "ts", str(tmp_path / "missing.ss")]) == 2
@@ -466,7 +497,7 @@ def test_wide_inputs_end_without_internal_error(tmp_path, capsys):
     assert main(["verify", "--property", "ipps", "--t", "2", str(three)]) == 1
     captured = capsys.readouterr()
     first, rest = captured.out.split("\n", 1)
-    assert first == "verify property=ipps t=2 mode=exhaustive verdict=violated work=7507"
+    assert first == "verify property=ipps t=2 mode=exhaustive verdict=violated work=12005"
     assert "internal error" not in captured.err
     wit = tmp_path / "three.wit"
     wit.write_text(rest, encoding="utf-8")

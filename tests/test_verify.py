@@ -49,7 +49,7 @@ from traceschemes.verify import (
     _at_least,
     _BudgetStop,
     _ipps_ambiguity,
-    _ipps_levels,
+    _ipps_selections,
     _largest,
     _least,
     _overlaps,
@@ -155,15 +155,6 @@ def _ts_evasion(masks, coalition: tuple[int, ...], outsiders: list[int], w: int,
     finally:
         work.count += spent
     return None
-
-
-def _ipps_selections(masks, t, work):
-    """Every selection of 1..t blocks, level after level, as the walk takes them."""
-    unions, bits = [], []
-    for level_unions, level_bits in _ipps_levels(masks, t, work):
-        unions += level_unions
-        bits += level_bits
-    return unions, bits
 
 
 def _random_system(rng, v, w, m):
@@ -1079,21 +1070,46 @@ def test_ipps_certificate_never_settles_a_violated_system(s, t):
     assert out.holds == (found is None)
     if out.detail.startswith("pairwise intersections"):
         assert out.holds and not brute_ambiguous(s, t)
-        assert out.work == s.m + comb(s.m, 2)
+        # The same scan as certified TS, so the same work.
+        assert out.work == verify_ts(s, t, mode="certified").work
 
 
 def test_ipps_of_a_packing_lists_no_triple():
     # Lines of the unital on 65 points and of PG(2, 16) meet in one point,
-    # below ceil(w/t^2) = 2: each is a t-TS, so a t-IPPS, from its 208 + C(208, 2)
-    # and 273 + C(273, 2) single and pair selections.  The walk took 61.8M work
-    # on the unital, and PG(2, 16) at t = 4 has 2.3e8 selections to list.
-    for s, t, work in ((hermitian_unital(4), 2, 21_736), (pg_lines(2, 16), 4, 37_401)):
+    # below ceil(w/t^2) = 2: each is a t-TS, so a t-IPPS, by the scan of
+    # certified TS, which reads each point's degree once per block through
+    # it.  The walk took 61.8M work on the unital, and PG(2, 16) at t = 4 has
+    # 2.3e8 selections to list.
+    for s, t, work in ((hermitian_unital(4), 2, 16_640), (pg_lines(2, 16), 4, 78_897)):
         # The best of three calls, so that a busy host does not fail the bound.
         assert min(timeit.repeat(lambda: verify_ipps(s, t), number=1, repeat=3)) < 0.1
         out = verify_ipps(s, t)
         assert (out.verdict, out.mode, out.work) == ("holds", "exhaustive", work)
         assert out.detail == f"pairwise intersections below 2 certify a {t}-TS, so a {t}-IPPS"
         assert verify_ipps_star(s, t) == out
+
+
+def test_ipps_certificate_lists_nothing_on_a_large_packing():
+    # 1,200 lines {(x, ax+b mod 67): x < 61} of a 67-by-61 grid meet in at
+    # most one point, below ceil(61/49) = 2.  The certificate reads the
+    # point columns block by block, as certified TS does, and lists none of
+    # the 720,600 pairs, which as a list took about 1.6 s and 600 MB.
+    p, w = 67, 61
+    lines = random.Random(17).sample(range(p * p), 1200)
+    s = new_set_system(w * p, [[x * p + (a * x + b) % p for x in range(w)]
+                               for a, b in (divmod(line, p) for line in lines)])
+    assert min(timeit.repeat(lambda: verify_ipps(s, 7), number=1, repeat=3)) < 1.0
+    masks = sum(map(sys.getsizeof, s.masks))
+    tracemalloc.start()
+    try:
+        out = verify_ipps(s, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.verdict, out.detail) == (
+        "holds", "pairwise intersections below 2 certify a 7-TS, so a 7-IPPS")
+    assert out.work == verify_ts(s, 7, mode="certified").work
+    assert peak <= 2 * masks, (peak, masks)
 
 
 @given(wide_systems(), st.integers(1, 3), st.integers(0, 2000))
@@ -1135,11 +1151,12 @@ def test_ipps_work_stays_below_candidate_listing():
 
 
 def test_ipps_outcomes_and_work_are_pinned():
-    # Verdicts, witnesses and work of the walk on seeded random systems, 67
+    # Verdicts, witnesses and work of the walk on seeded random systems, 78
     # of them stopped by the small budget.  Work is CLI output, and it pins
     # the walk's order: a walk that skipped a point after backtracking still
     # finds every witness here, but counts less.  Three systems of two
-    # disjoint blocks are settled by the pairwise certificate at work 3.
+    # disjoint blocks of two points are settled by the pairwise certificate
+    # at work 4, one unit per point of each block.
     rng = random.Random(3)
     h = hashlib.sha256()
     for _ in range(300):
@@ -1148,7 +1165,7 @@ def test_ipps_outcomes_and_work_are_pinned():
         for t in (2, 3):
             for budget in (10**9, 300):
                 h.update(repr(verify_ipps(s, t, budget)).encode())
-    assert h.hexdigest() == "f364c6e0d47adf575555a5e483d6217fb99926e5372ac334d6020853998fba32"
+    assert h.hexdigest() == "a4a3ef2ffd2a1d46b6d2dec080a046c7546fc6e04486cf8aa4cd28454bb8d5f8"
 
 
 def test_cff_and_ts_outcomes_and_work_are_pinned():
@@ -1198,18 +1215,21 @@ def test_ts_ladder_outcomes_and_work_are_pinned():
 
 def test_ipps_ladder_outcomes_and_work_are_pinned():
     # The IPPS rungs of the work ladder (bench/ladder.py).  Four are settled
-    # by the pairwise certificate after the single and pair selections.  In
-    # the fifth the block {1..17} meets lines of PG(2, 16) in two points, so
-    # the triples would be listed next; the budget cannot pay for them, so
-    # they are refused unlisted and the work is that of the levels listed.
+    # by the pairwise certificate, before any selection is listed.  In the
+    # fifth the block {1..17} meets lines of PG(2, 16) in two points, so the
+    # certificate fails and the selections are listed; the budget cannot pay
+    # for the triples, so they are refused unlisted and the work is that of
+    # the certificate's scan and the singles and pairs.  The scan stops at
+    # block 0, the line {0..16}: 16 of its points have degree 18, point 0
+    # has 17, so it costs 305.
     certified = "pairwise intersections below 2 certify a {0}-TS, so a {0}-IPPS"
     planted = new_set_system(273, [*pg_lines(2, 16).blocks, tuple(range(1, 18))])
     rungs = [
-        (pg_lines(2, 4), 2, 10**9, _outcome("holds", 231, detail=certified.format(2))),
-        (ag_lines(2, 5), 2, 10**9, _outcome("holds", 465, detail=certified.format(2))),
-        (hermitian_unital(4), 2, 10**9, _outcome("holds", 21736, detail=certified.format(2))),
-        (pg_lines(2, 16), 4, 10**9, _outcome("holds", 37401, detail=certified.format(4))),
-        (planted, 4, 10**6, _outcome("inconclusive", 274 + comb(274, 2),
+        (pg_lines(2, 4), 2, 10**9, _outcome("holds", 525, detail=certified.format(2))),
+        (ag_lines(2, 5), 2, 10**9, _outcome("holds", 900, detail=certified.format(2))),
+        (hermitian_unital(4), 2, 10**9, _outcome("holds", 16640, detail=certified.format(2))),
+        (pg_lines(2, 16), 4, 10**9, _outcome("holds", 78897, detail=certified.format(4))),
+        (planted, 4, 10**6, _outcome("inconclusive", 305 + 274 + comb(274, 2),
                                      detail="BudgetExceeded")),
     ]
     for s, t, budget, expected in rungs:
