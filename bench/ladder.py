@@ -67,7 +67,7 @@ def run_rung(name: str) -> dict:
     import traceschemes
 
     instance, prop, t, work_cap, _ = RUNGS[name]
-    system = eval(instance, dict(vars(traceschemes)))
+    system = eval(instance, {n: getattr(traceschemes, n) for n in traceschemes.__all__})
     decide = getattr(traceschemes, "verify_" + prop)
     start = time.perf_counter()
     out = decide(system, t, budget=work_cap)

@@ -2,6 +2,9 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -19,6 +22,8 @@ from traceschemes import (
     verify_ts,
 )
 from traceschemes.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _write_triples(tmp_path, v, name="tri.ss"):
@@ -612,3 +617,43 @@ def test_constructions_over_budget_stop_before_building(capsys):
         assert capsys.readouterr().err.endswith(f"= {size} incidences exceed budget {size - 1}\n")
         assert main(argv + [str(size)]) == 0, family
         assert capsys.readouterr().out.startswith("setsystem ")
+
+
+# Runs one subcommand in a fresh interpreter; prints the submodules loaded by
+# importing the CLI, then the exit code and the submodules loaded after it.  type() reads no attribute of a lazy module, so unlike
+# m.__class__ it loads nothing.
+_LOAD_PROBE = """\
+import sys, types
+import traceschemes.cli
+names = ("core", "gf", "verify", "bounds", "construct", "oracle")
+mods = {m: sys.modules["traceschemes." + m] for m in names}
+before = sorted(m for m, mod in mods.items() if type(mod) is types.ModuleType)
+code = traceschemes.cli.main(sys.argv[1:])
+print(" ".join(before), "|", code, *sorted(m for m, mod in mods.items()
+                                          if type(mod) is types.ModuleType))
+"""
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, capsys):
+    tri = _write_triples(tmp_path, 6)
+    main(["verify", "--property", "ts", "--t", "2", str(tri)])
+    wit = tmp_path / "w.txt"
+    wit.write_text("witness " + capsys.readouterr().out.split("witness ", 1)[1], encoding="utf-8")
+    cases = [
+        (["--help"], "0 core"),
+        (["bound", "--t", "2", "--w", "5", "--v", "21"], "0 bounds core"),
+        (["verify", "--property", "ts", "--t", "2", str(tri)], "1 core verify"),
+        (["stats", str(tri)], "0 core verify"),
+        (["check-witness", str(tri), str(wit)], "0 core verify"),
+        (["own-subsets", "--tau", "2", str(tri)], "0 core verify"),
+        (["construct", "--family", "pg-lines", "--n", "2", "--q", "4"],
+         "0 construct core gf verify"),
+        (["trace", "--kind", "ts-from-cff", "--t", "2", str(tri)], "0 bounds core oracle verify"),
+    ]
+    for argv, loaded in cases:
+        done = subprocess.run([sys.executable, "-c", _LOAD_PROBE, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        # every submodule is in sys.modules after import, as perfbench's tracer
+        # needs; importing the CLI loads core alone
+        assert done.stdout.splitlines()[-1] == "core | " + loaded, argv
