@@ -20,6 +20,7 @@ from . import construct as construct_mod
 from . import oracle as oracle_mod
 from . import verify as verify_mod
 from .core import (
+    DEFAULT_BUDGET,
     ParamsInvalid,
     SchemeError,
     SchemeParams,
@@ -86,12 +87,6 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _verify_budget(args) -> int:
-    # resolved here, not as the flag's default, so that building the parser
-    # loads no module
-    return verify_mod.DEFAULT_BUDGET if args.budget is None else args.budget
-
-
 def _cmd_verify(args) -> int:
     prop = args.property
     if args.mode == "certified" and prop != "ts":
@@ -104,7 +99,7 @@ def _cmd_verify(args) -> int:
     if args.t is not None and by_tau:
         raise SchemeError(f"--t applies to ts, ipps, ipps-star and cff only, not {prop}")
     system = _load_system(args.file)
-    budget = _verify_budget(args)
+    budget = args.budget
     if by_tau:
         if args.tau is None:
             raise SchemeError(f"--tau is required for property {prop}")
@@ -170,9 +165,8 @@ def _cmd_trace(args) -> int:
     system = _load_system(args.file)
     if args.t < 2:
         raise ParamsInvalid(f"strength t={args.t} must be >= 2")
-    budget = _verify_budget(args)
     if args.kind == "ts-from-cff":
-        cff = verify_mod.verify_cff(system, args.t * args.t, budget)
+        cff = verify_mod.verify_cff(system, args.t * args.t, args.budget)
         if cff.holds:
             print("trace ts-from-cff unreachable: no block is covered by "
                   f"{args.t * args.t} others")
@@ -183,14 +177,14 @@ def _cmd_trace(args) -> int:
         trace = oracle_mod.ts_violation_from_cff_failure(system, args.t, cff.witness)
         sys.stdout.write(oracle_mod.render_trace_ts(trace))
         return EXIT_INCONCLUSIVE if isinstance(trace, oracle_mod.TraceBlocked) else EXIT_OK
-    trace = oracle_mod.ipps_violation_from_missing_own_subsets(system, args.t, budget)
+    trace = oracle_mod.ipps_violation_from_missing_own_subsets(system, args.t, args.budget)
     sys.stdout.write(oracle_mod.render_trace_ipps(trace))
     return EXIT_INCONCLUSIVE if isinstance(trace, oracle_mod.TraceBlocked) else EXIT_OK
 
 
 def _cmd_own_subsets(args) -> int:
     system = _load_system(args.file)
-    left = _verify_budget(args)  # one work unit per tau-subset tested, a block's all at once
+    left = args.budget  # one work unit per tau-subset tested, a block's all at once
     for i in range(system.m) if args.block is None else (args.block,):
         subsets = _own_subsets(system, i, args.tau)  # checks the block index and tau
         tests = comb(system.w, args.tau)
@@ -255,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=int)
     p.add_argument("--lambda", dest="lam", type=int)
     p.add_argument("--mode", choices=["auto", "exhaustive", "certified"], default="auto")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("file")
     p.set_defaults(func=_cmd_verify)
 
@@ -277,14 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="replay a violation-building procedure")
     p.add_argument("--kind", required=True, choices=["ts-from-cff", "ipps-own-subsets"])
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("file")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("own-subsets", help="count own-subsets per block")
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--block", type=int)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("file")
     p.set_defaults(func=_cmd_own_subsets)
 

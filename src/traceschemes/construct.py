@@ -30,7 +30,7 @@ from .core import (
     new_set_system,
 )
 from .gf import GF, gf
-from .verify import verify_design
+from . import verify
 
 # Work cap of a construction, in incidences (m blocks of w points) or, for
 # the greedy packing, in w-subsets walked.
@@ -289,7 +289,7 @@ def extend_design(base: SetSystem, d: int, t: int) -> tuple[SetSystem, Extension
     if w % tt != (d + 1) % tt:
         raise CongruenceViolated(f"width {base.w}+{d} is not d+1 (mod {tt})")
     tau = _ceil_div(w, tt)
-    outcome = verify_design(base, tau, 1)
+    outcome = verify.verify_design(base, tau, 1)
     if not outcome.holds:
         raise NotADesign(f"base is not a {tau}-design with index 1: {outcome.detail}")
     fresh = list(range(base.v, base.v + d))

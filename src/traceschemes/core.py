@@ -18,6 +18,8 @@ from operator import ge
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_GROUND_SET = 4096
+# The work budget of a decision when none is given; verify exports it.
+DEFAULT_BUDGET = 10**9
 
 
 class SchemeError(Exception):

@@ -48,6 +48,8 @@ from .verify import (
     _BudgetStop,
     _find_cover,
     _ipps_ambiguity,
+    _ipps_pop,
+    _ipps_push,
     _point_blocks,
     _ts_evader,
     _Work,
@@ -132,17 +134,6 @@ def _cff_extension_ok(masks: list[int], pb: list[list[int]], w: int, t: int,
     return True
 
 
-def _ipps_push(unions: list[int], bits: list[int], mask: int, index: int, t: int) -> None:
-    # Append the selections of at most t blocks that hold block ``index``:
-    # the block alone, and the block with each selection of fewer than t.
-    bit = 1 << index
-    grow = [i for i in range(len(bits)) if bits[i].bit_count() < t]
-    unions.append(mask)
-    unions.extend(unions[i] | mask for i in grow)
-    bits.append(bit)
-    bits.extend(bits[i] | bit for i in grow)
-
-
 def exhaustive_optimal(p: SchemeParams, property: str,
                        budget: int = 2_000_000) -> SearchResult:
     """Exact maximum family size by complete colex-canonical search.
@@ -171,12 +162,11 @@ def exhaustive_optimal(p: SchemeParams, property: str,
     # pb[q] lists the family's blocks through point q, ascending, as the
     # cover kernels expect; a block joins it once accepted.
     pb: list[list[int]] = [[] for _ in range(p.v)]
-    # unions and bits list each selection of 1..t blocks of the family for
-    # the IPPS check: a push appends those that hold the new block, and
-    # sizes[i] is their length before block i was pushed.
-    unions: list[int] = []
-    bits: list[int] = []
-    sizes: list[int] = []
+    # levels[k] lists the selections of k + 1 blocks of the family for the
+    # IPPS check (see _ipps_push): a block is pushed when it is tried, and
+    # popped when it is rejected or when the walk backs up past it.
+    levels: list[tuple[list[int], list[int]]] = [([], []) for _ in range(p.t)]
+    ipps = property == "ipps"
     nodes = _Work(budget)
     work = _Work()  # the node budget bounds the search instead
     complete = True
@@ -187,33 +177,33 @@ def exhaustive_optimal(p: SchemeParams, property: str,
         while masks or mask == root:
             nodes.tick()
             index = len(masks)
-            size = len(unions)
             masks.append(mask)
             if property == "ts":
                 ok = _ts_extension_ok(masks, p.w, p.t, work)
             elif property == "cff":
                 ok = _cff_extension_ok(masks, pb, p.w, p.t, work)
             else:
-                # The family without the new block is an IPPS, so a w-set can
-                # become ambiguous only through a cover that holds the new block.
-                _ipps_push(unions, bits, mask, index, p.t)
-                ok = _ipps_ambiguity(unions, bits, p.w, work, index) is None
+                # The family without the new block is an IPPS, so every
+                # ambiguous w-set has a minimal cover holding the new block
+                # (were all of them old, it was ambiguous before).
+                _ipps_push(levels, mask, index)
+                ok = _ipps_ambiguity(levels, p.w, work) is None
             if ok:
                 if len(masks) > len(best):
                     best = masks.copy()
                 for q in _points(mask):
                     pb[q].append(index)
-                sizes.append(size)
             else:
                 masks.pop()
-                del unions[size:], bits[size:]
+                if ipps:
+                    _ipps_pop(levels)
             mask = _colex_next(mask)
             while mask >> p.v and masks:  # past the last w-set: back up
                 mask = masks.pop()
                 for q in _points(mask):
                     pb[q].pop()
-                size = sizes.pop()
-                del unions[size:], bits[size:]
+                if ipps:
+                    _ipps_pop(levels)
                 mask = _colex_next(mask)
     except _BudgetStop:
         complete = False

@@ -32,12 +32,13 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from functools import reduce
-from itertools import combinations, compress, repeat
+from itertools import chain, combinations, compress, repeat
 from math import comb
 from operator import and_, or_
 from typing import NamedTuple
 
 from .core import (
+    DEFAULT_BUDGET,
     FormatError,
     ParamsInvalid,
     SetSystem,
@@ -58,7 +59,6 @@ EXHAUSTIVE = "exhaustive"
 CERTIFIED = "certified"
 
 BUDGET_EXCEEDED = "BudgetExceeded"
-DEFAULT_BUDGET = 10**9
 # Exhaustive TS filters outsiders with packed tables only while their v + m
 # integers of m * F bits (see _PackedCounts), and up to three such per
 # coalition member for the walk's states, fit in this many bits, 32 MB.
@@ -538,7 +538,7 @@ class _PackedCounts:
 
     Block o owns field o, ``width`` bits wide, whose top bit is a guard; a
     field holds at most (k + 1) * w below it, for k <= min(t, m).
-    ``cols[p]`` has 1 in the field of each block through point p, so a sum
+    ``cols[p]`` has 1 in the field of each block in point column p, so a sum
     of cols over a point set P holds |B_o & P| in field o, for all o at
     once; ``rows[i]``, the sum over B_i, holds |B_o & B_i|.  Both are
     built on first use.  A coalition's state is (U, A, S, G): its union,
@@ -549,14 +549,14 @@ class _PackedCounts:
 
     __slots__ = ("masks", "width", "half", "ones", "empty", "cols", "rows")
 
-    def __init__(self, s: SetSystem, t: int, pb: list[list[int]]) -> None:
+    def __init__(self, s: SetSystem, t: int, cols: list[int]) -> None:
         self.masks = s.masks
         self.width = width = ((min(t, s.m) + 1) * s.w).bit_length() + 1
         self.half = 1 << (width - 1)
         self.ones = ((1 << width * s.m) - 1) // ((1 << width) - 1)
         self.empty = (0, 0, 0, self.half * self.ones)
-        cols = self.cols = _Table(lambda p: sum(1 << width * o for o in pb[p]))
-        self.rows = _Table(lambda i: sum(map(cols.__getitem__, s.blocks[i])))
+        fields = self.cols = _Table(lambda p: sum(1 << width * o for o in _points(cols[p])))
+        self.rows = _Table(lambda i: sum(map(fields.__getitem__, s.blocks[i])))
 
     def extend(self, state: tuple[int, int, int, int], i: int) -> tuple[int, int, int, int]:
         """The state of a coalition once block i joins it."""
@@ -667,11 +667,11 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
     # An outsider O needs |O & U| >= ceil(w / |C|), and |O & U| is at most
     # the sum of the members' largest overlaps with any other block.
     least = [0] + [_ceil_div(w, k) for k in range(1, min(t, m) + 1)]
-    pb = _point_blocks(s)
-    packed = _PackedCounts(s, t, pb)
+    cols = _point_columns(s)
+    packed = _PackedCounts(s, t, cols)
     fits = (s.v + m + 3 * min(t, m)) * m * packed.width <= _PACKED_TABLE_BITS
     try:
-        maxima = map(_largest, _overlaps(s, work))
+        maxima = map(_largest, _overlaps(s, work, cols))
         rowmax: list[int] = []
         c: list[int] = [0]
         states: list[tuple[int, int, int, int] | None] = [None]
@@ -721,55 +721,58 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
 # parent-identifying set systems
 
 
-def _ipps_selections(masks, t: int, work: _Work) -> tuple[list[int], list[int]]:
-    """Unions and block bits of the selections of 1..min(t, m) blocks.
+def _ipps_push(levels: list[tuple[list[int], list[int]]], mask: int, index: int) -> None:
+    """Add block ``index``, of point mask ``mask``, to the selections in ``levels``.
 
-    Listed size by size, each size in lexicographic order and paid for, one
-    work unit per selection, just before it is listed, so the budget also
-    bounds memory.  A size the budget cannot pay for is refused before it is
-    charged, so a stop reports the work of the sizes listed.
+    ``levels[k]`` lists the unions and the block bits of the selections of
+    k + 1 blocks, in two lists: a pair per selection took a third more
+    memory.  Level k >= 1 gains the block joined to each selection level
+    k - 1 held before the push, and level 0 the block alone, so pushing
+    every block lists all selections of at most ``len(levels)`` blocks.
     """
-    m = len(masks)
-    unions, bits = [], []
-    level = [(0, 0, -1)]  # the empty selection
-    for k in range(1, min(t, m) + 1):
-        size = comb(m, k)
-        if work.count + size > work.budget:
-            raise _BudgetStop
-        work.count += size
-        level = [(u | masks[j], b | 1 << j, j) for u, b, i in level for j in range(i + 1, m)]
-        unions += [u for u, _, _ in level]
-        bits += [b for _, b, _ in level]
-    return unions, bits
+    bit = 1 << index
+    for k in range(len(levels) - 1, 0, -1):
+        (unions, bits), (below, below_bits) = levels[k], levels[k - 1]
+        unions += map(or_, below, repeat(mask))
+        bits += map(or_, below_bits, repeat(bit))
+    levels[0][0].append(mask)
+    levels[0][1].append(bit)
 
 
-def _ipps_ambiguity(unions: list[int], bits: list[int], w: int, work: _Work,
-                    required: int = -1):
+def _ipps_pop(levels: list[tuple[list[int], list[int]]]) -> None:
+    """Undo the last :func:`_ipps_push`.
+
+    The push added one selection to level 0, and to level k as many as
+    level k - 1 holds once its own are removed, so no length is kept.
+    """
+    del levels[0][0][-1], levels[0][1][-1]
+    for (below, _), (unions, bits) in zip(levels, levels[1:]):
+        size = len(unions) - len(below)
+        del unions[size:], bits[size:]
+
+
+def _ipps_ambiguity(levels: list[tuple[list[int], list[int]]], w: int, work: _Work):
     """Lexicographically first ambiguous w-set and the block bits of its covers.
 
-    ``unions`` and ``bits`` list the selections of at most t blocks, in any
-    order, such as those of :func:`_ipps_selections`.  A point set
-    is ambiguous when some selection covers it and the selections that
-    cover it share no block.  A cover of a set covers each of its subsets, so the subsets of
-    an ambiguous set are ambiguous: a depth-first walk over points in
-    ascending order that extends only ambiguous prefixes meets every
-    ambiguous w-set, the lexicographically first one first.  A prefix
-    carries the selections that cover it.  With ``required`` >= 0 a set
-    counts only if some cover holds block ``required``, which again passes
-    to subsets.  Returns None when there is no such set.  One work unit per
-    selection examined.  The walk is a loop over an explicit stack, so a
-    prefix of thousands of points does not meet the recursion limit.
+    ``levels`` lists the selections of at most t blocks by size, as
+    :func:`_ipps_push` builds them; the order within a size does not matter.
+    A point set is ambiguous when some selection covers it and the
+    selections that cover it share no block.  A cover of a set covers each
+    of its subsets, so the subsets of an ambiguous set are ambiguous: a
+    depth-first walk over points in ascending order that extends only
+    ambiguous prefixes meets every ambiguous w-set, the lexicographically
+    first one first.  A prefix carries the selections that cover it.
+    Returns None when there is no such set.  One work unit per selection
+    examined.  The walk is a loop over an explicit stack, so a prefix of
+    thousands of points does not meet the recursion limit.
     """
-    def cover_pool(unions: list[int], bits: list[int]) -> int:
-        if required < 0:
-            return reduce(or_, unions)
-        return reduce(or_, compress(unions, map(and_, bits, repeat(1 << required))), 0)
-
+    unions = list(chain.from_iterable(unions for unions, _ in levels))
+    bits = list(chain.from_iterable(bits for _, bits in levels))
     prefix: list[int] = []
     stack = []  # the selections and the untried points of each shorter prefix
     nodes = 0
     room = work.budget - work.count
-    pool = cover_pool(unions, bits)
+    pool = reduce(or_, unions)
     try:
         while True:
             # The selections covering the prefix share no block; try each
@@ -790,7 +793,7 @@ def _ipps_ambiguity(unions: list[int], bits: list[int], w: int, work: _Work,
                     return tuple(prefix), covers
                 stack.append((unions, bits, pool))
                 unions, bits = list(compress(unions, keep)), covers
-                pool = cover_pool(unions, bits) & ~((bit << 1) - 1)
+                pool = reduce(or_, unions) & ~((bit << 1) - 1)
                 break
             else:
                 if not stack:
@@ -808,9 +811,11 @@ def verify_ipps(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOut
     in every cover.  So a system in which every two blocks share fewer than
     ceil(w/t^2) points holds by the pairwise condition of certified TS,
     checked by its scan at its cost, and no selection is listed.  Otherwise
-    the selections of at most t blocks are listed and :func:`_ipps_ambiguity`
-    decides; a violation reports the lexicographically first ambiguous w-set
-    and all its minimal covers.
+    each size k = 1..min(t, m) is paid for, C(m, k) work units, before any
+    selection is listed, so the budget also bounds memory; then the blocks
+    are pushed one by one (:func:`_ipps_push`) and :func:`_ipps_ambiguity`
+    decides.  A violation reports the lexicographically first ambiguous
+    w-set and all its minimal covers.
     """
     if t < 1:
         raise ParamsInvalid(f"strength t={t} must be >= 1")
@@ -822,7 +827,15 @@ def verify_ipps(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOut
         if not any(_packing_pairs(s, tau, work)):
             detail = f"pairwise intersections below {tau} certify a {t}-TS, so a {t}-IPPS"
             return VerifyOutcome(HOLDS, EXHAUSTIVE, detail=detail, work=work.count)
-        found = _ipps_ambiguity(*_ipps_selections(s.masks, t, work), s.w, work)
+        levels: list[tuple[list[int], list[int]]] = [([], []) for _ in range(min(t, s.m))]
+        for k in range(1, len(levels) + 1):
+            size = comb(s.m, k)
+            if work.count + size > work.budget:
+                raise _BudgetStop
+            work.count += size
+        for i, mask in enumerate(s.masks):
+            _ipps_push(levels, mask, i)
+        found = _ipps_ambiguity(levels, s.w, work)
     except _BudgetStop:
         return VerifyOutcome(INCONCLUSIVE, EXHAUSTIVE, detail=BUDGET_EXCEEDED, work=work.count)
     if found is None:

@@ -645,9 +645,8 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, capsys):
         (["verify", "--property", "ts", "--t", "2", str(tri)], "1 core verify"),
         (["stats", str(tri)], "0 core verify"),
         (["check-witness", str(tri), str(wit)], "0 core verify"),
-        (["own-subsets", "--tau", "2", str(tri)], "0 core verify"),
-        (["construct", "--family", "pg-lines", "--n", "2", "--q", "4"],
-         "0 construct core gf verify"),
+        (["own-subsets", "--tau", "2", str(tri)], "0 core"),
+        (["construct", "--family", "pg-lines", "--n", "2", "--q", "4"], "0 construct core gf"),
         (["trace", "--kind", "ts-from-cff", "--t", "2", str(tri)], "0 bounds core oracle verify"),
     ]
     for argv, loaded in cases:

@@ -7,6 +7,7 @@ import sys
 import time
 import timeit
 import tracemalloc
+from collections import Counter
 from itertools import combinations, islice, product
 from math import comb
 from pathlib import Path
@@ -44,17 +45,17 @@ from traceschemes import (
     verify_ts,
 )
 from traceschemes.core import FormatError, _ceil_div, _points, _union
-from traceschemes.oracle import _ipps_push
 from traceschemes.verify import (
     _at_least,
     _BudgetStop,
     _ipps_ambiguity,
-    _ipps_selections,
+    _ipps_pop,
+    _ipps_push,
     _largest,
     _least,
     _overlaps,
     _PackedCounts,
-    _point_blocks,
+    _point_columns,
     _ts_evader,
     _ts_packs,
     _ts_witness,
@@ -672,7 +673,7 @@ def _scalar_survivors(s, coalition):
           (0, 1), 2))
 def test_packed_filter_matches_scalar_tests(case):
     s, coalition, t = case
-    packed = _PackedCounts(s, t, _point_blocks(s))
+    packed = _PackedCounts(s, t, _point_columns(s))
     state = packed.empty
     for i in coalition:
         state = packed.extend(state, i)
@@ -788,6 +789,32 @@ def test_no_function_calls_itself():
                 calls = [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Call)
                          and isinstance(node.func, ast.Name) and node.func.id == fn.name]
                 assert not calls, f"{path.name}: {fn.name} calls itself at line {calls[0]}"
+
+
+def _names_used(tree):
+    """Each name that ``tree`` reads, as a variable, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_no_private_helper_is_kept_only_for_tests():
+    # A module-level private function or class that no other code in the
+    # package uses is dead code, or a second copy of a check kept alive only
+    # by the tests.
+    package = Path(traceschemes.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))]
+    used = Counter(name for tree in trees for name in _names_used(tree))
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") \
+                    and not node.name.endswith("__"):
+                own = sum(name == node.name for name in _names_used(node))
+                assert used[node.name] > own, f"{node.name} is used nowhere in the package"
 
 
 @st.composite
@@ -1001,38 +1028,21 @@ def test_ipps_witness_subsets_are_ambiguous(s, t):
         assert list(out.witness.parents) == minimal
 
 
-@given(wide_systems(), st.integers(1, 3))
-def test_ipps_selections_are_every_small_selection(s, t):
-    # Listed at once for verify, or pushed block by block as in the search.
-    literal = sorted((_union(s.masks, c), sum(1 << i for i in c))
-                     for k in range(1, t + 1) for c in combinations(range(s.m), k))
-    unions, bits = _ipps_selections(s.masks, t, _Work(10**9))
-    assert sorted(zip(unions, bits)) == literal
-    unions, bits = [], []
+@given(wide_systems(), st.integers(1, 4), st.data())
+def test_ipps_push_and_pop_keep_every_small_selection(s, t, data):
+    # As verify_ipps pushes every block, and as the search pushes a block
+    # it tries and pops it when it is rejected.
+    levels = [([], []) for _ in range(t)]
     for i, mask in enumerate(s.masks):
-        _ipps_push(unions, bits, mask, i, t)
-    assert sorted(zip(unions, bits)) == literal
-
-
-@given(wide_systems(), st.integers(1, 3), st.data())
-def test_ipps_kernel_with_a_required_block(s, t, data):
-    # The search asks for the first ambiguous w-set that some cover holding
-    # the new block covers; here any block may be the required one.  The
-    # search lists the selections in the order the blocks came, so any
-    # order must do.
-    required = data.draw(st.integers(0, s.m - 1))
-    work = _Work(10**9)
-    unions, bits = _ipps_selections(s.masks, t, work)
-    order = data.draw(st.permutations(range(len(unions))))
-    found = _ipps_ambiguity([unions[i] for i in order], [bits[i] for i in order], s.w, work,
-                            required)
-    first = None
-    for tpts in combinations(range(s.v), s.w):
-        covers = brute_covers(s, t, tpts)
-        if covers and not set.intersection(*covers) and any(required in c for c in covers):
-            first = tpts
-            break
-    assert (found and found[0]) == first
+        _ipps_push(levels, mask, i)
+    for k, (unions, bits) in enumerate(levels):
+        literal = [(_union(s.masks, c), sum(1 << i for i in c))
+                   for c in combinations(range(s.m), k + 1)]
+        assert sorted(zip(unions, bits)) == sorted(literal), k
+    before = [(unions.copy(), bits.copy()) for unions, bits in levels]
+    _ipps_push(levels, data.draw(st.integers(1, (1 << s.v) - 1)), s.m)
+    _ipps_pop(levels)
+    assert levels == before
 
 
 def _relabeled_subfamily(base):
@@ -1066,7 +1076,10 @@ def brute_ambiguous(s, t):
 @given(st.one_of(*map(_relabeled_subfamily, GEOMETRIES), wide_systems()), st.integers(2, 3))
 def test_ipps_certificate_never_settles_a_violated_system(s, t):
     out = verify_ipps(s, t)
-    found = _ipps_ambiguity(*_ipps_selections(s.masks, t, _Work()), s.w, _Work())
+    levels = [([], []) for _ in range(t)]
+    for i, mask in enumerate(s.masks):
+        _ipps_push(levels, mask, i)
+    found = _ipps_ambiguity(levels, s.w, _Work())
     assert out.holds == (found is None)
     if out.detail.startswith("pairwise intersections"):
         assert out.holds and not brute_ambiguous(s, t)
@@ -1110,6 +1123,22 @@ def test_ipps_certificate_lists_nothing_on_a_large_packing():
         "holds", "pairwise intersections below 2 certify a 7-TS, so a 7-IPPS")
     assert out.work == verify_ts(s, 7, mode="certified").work
     assert peak <= 2 * masks, (peak, masks)
+
+
+def test_ipps_refuses_a_size_before_listing_anything():
+    # The block {1..17} meets lines of PG(2, 16) in two points, so the
+    # pairwise certificate fails.  The budget pays for the 274 singles and
+    # the pairs, not for the 3,391,024 triples, so the walk stops before any
+    # selection is listed; listing the singles and pairs took 7.5 MiB.
+    s = new_set_system(273, [*pg_lines(2, 16).blocks, tuple(range(1, 18))])
+    tracemalloc.start()
+    try:
+        out = verify_ipps(s, 4, budget=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.verdict, out.detail, out.work) == ("inconclusive", "BudgetExceeded", 37_980)
+    assert peak < 1 << 20, peak
 
 
 @given(wide_systems(), st.integers(1, 3), st.integers(0, 2000))
@@ -1255,6 +1284,23 @@ def test_search_witnesses_are_pinned():
     ts = exhaustive_optimal(SchemeParams(2, 4, 7), "ts")
     assert (ts.nodes_explored, ts.witness_family.blocks) == (
         916, ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5), (0, 1, 2, 6)))
+
+
+def test_ipps_search_is_pinned():
+    # Optimum, completeness, nodes and the witness family's blocks of the
+    # IPPS search, whose extension check asks for any ambiguous w-set.
+    pins = {
+        (2, 3, 7): (5, True, 3_093,
+                    "f2528c5cdfa5d255ea8bb7b4b9d2f87d83ab9e60168080ea21cd5dabafd76d73"),
+        (2, 4, 7): (4, True, 1_507,
+                    "21e70659bc3aa3eb5839c5cf557b3d3ecd36f0ea2fe3f541c46f4928636af778"),
+        (2, 3, 8): (6, True, 22_844,
+                    "00520bb950ec7be455e69c55921c34044478a33d7a11fb81994b1ecf127ca8c5"),
+    }
+    for params, pin in pins.items():
+        r = exhaustive_optimal(SchemeParams(*params), "ipps")
+        digest = hashlib.sha256(repr(r.witness_family.blocks).encode()).hexdigest()
+        assert (r.optimum, r.complete, r.nodes_explored, digest) == pin, params
 
 
 @given(small_systems(), st.integers(1, 3))
