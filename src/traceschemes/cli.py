@@ -21,6 +21,7 @@ from . import oracle as oracle_mod
 from . import verify as verify_mod
 from .core import (
     DEFAULT_BUDGET,
+    DEFAULT_SEARCH_BUDGET,
     ParamsInvalid,
     SchemeError,
     SchemeParams,
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--v", type=int, required=True)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("trace", help="replay a violation-building procedure")

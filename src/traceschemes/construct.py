@@ -124,12 +124,10 @@ def _projective_points(field: GF, dim: int) -> list[tuple[int, ...]]:
     return sorted(pts)
 
 
-def _vec_add(field: GF, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(field.add[x][y] for x, y in zip(a, b))
-
-
-def _vec_scale(field: GF, c: int, a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(field.mul[c][x] for x in a)
+def _line(field: GF, a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The vectors a + lam * b for lam in GF(q), in that order."""
+    add = field.add
+    return [tuple(add[x][scale[y]] for x, y in zip(a, b)) for scale in field.mul]
 
 
 def pg_lines(n: int, q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
@@ -149,12 +147,8 @@ def pg_lines(n: int, q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     index = {pt: i for i, pt in enumerate(pts)}
 
     def line_through(i: int, j: int) -> set[int]:
-        p_vec, q_vec = pts[i], pts[j]
-        members = {j}  # the line is q_vec and p_vec + lam * q_vec
-        for lam in range(field.q):
-            members.add(index[_canon_projective(
-                field, _vec_add(field, p_vec, _vec_scale(field, lam, q_vec)))])
-        return members
+        # the line is point j and point i + lam * point j
+        return {j, *(index[_canon_projective(field, x)] for x in _line(field, pts[i], pts[j]))}
 
     return _steiner_blocks(len(pts), 2, line_through)
 
@@ -176,8 +170,7 @@ def ag_lines(n: int, q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     def line_through(i: int, j: int) -> list[int]:
         base, other = pts[i], pts[j]
         direction = tuple(field.sub(x, y) for x, y in zip(other, base))
-        return [index[_vec_add(field, base, _vec_scale(field, lam, direction))]
-                for lam in range(q)]
+        return [index[x] for x in _line(field, base, direction)]
 
     return _steiner_blocks(len(pts), 2, line_through)
 
@@ -250,13 +243,9 @@ def hermitian_unital(q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     index = {pt: i for i, pt in enumerate(curve)}
 
     def section_through(i: int, j: int) -> set[int]:
-        p_vec, q_vec = curve[i], curve[j]
-        section = {j}  # the line is q_vec and p_vec + lam * q_vec
-        for lam in range(field.q):
-            pt = _canon_projective(field, _vec_add(field, p_vec, _vec_scale(field, lam, q_vec)))
-            if pt in index:
-                section.add(index[pt])
-        return section
+        # the line of pg_lines through points i and j, cut down to the curve
+        line = (_canon_projective(field, x) for x in _line(field, curve[i], curve[j]))
+        return {j, *(index[pt] for pt in line if pt in index)}
 
     return _steiner_blocks(len(curve), 2, section_through)
 

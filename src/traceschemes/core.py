@@ -20,6 +20,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 MAX_GROUND_SET = 4096
 # The work budget of a decision when none is given; verify exports it.
 DEFAULT_BUDGET = 10**9
+# The node budget of the optimum search when none is given.
+DEFAULT_SEARCH_BUDGET = 2_000_000
 
 
 class SchemeError(Exception):

@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from .bounds import bound_report, minimal_config_size_bound
 from .core import (
+    DEFAULT_SEARCH_BUDGET,
     ParamsInvalid,
     SchemeError,
     SchemeParams,
@@ -135,7 +136,7 @@ def _cff_extension_ok(masks: list[int], pb: list[list[int]], w: int, t: int,
 
 
 def exhaustive_optimal(p: SchemeParams, property: str,
-                       budget: int = 2_000_000) -> SearchResult:
+                       budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResult:
     """Exact maximum family size by complete colex-canonical search.
 
     The root takes only candidate 0, {0..w-1}: the properties are kept by
@@ -221,12 +222,12 @@ def ts_violation_from_cff_failure(s: SetSystem, t: int,
                                   cff_witness: CffCover) -> ProofTraceTs | TraceBlocked:
     """Build a traceability evasion from a block covered by <= t*t others.
 
-    Replays the pigeonhole selection: a first block of maximum overlap with
-    the covered block, then t-1 more maximizing overlap with its still
-    uncovered part, then a pirate set made of all chosen overlaps padded
-    with private points.  Completed traces always satisfy the averaging
-    inequality (t+1) * sum(sigma_2..sigma_t) >= w - ceil(w/t^2) - sigma_1
-    and re-validate as evasions.
+    Replays the pigeonhole selection: t blocks in turn, each the first
+    remaining cover block of maximum overlap with the part of the covered
+    block still uncovered, then a pirate set made of all chosen overlaps
+    padded with private points.  Completed traces always satisfy the
+    averaging inequality (t+1) * sum(sigma_2..sigma_t) >= w - ceil(w/t^2)
+    - sigma_1 and re-validate as evasions.
     """
     if t < 2:
         raise ParamsInvalid(f"strength t={t} must be >= 2")
@@ -241,15 +242,12 @@ def ts_violation_from_cff_failure(s: SetSystem, t: int,
     b0m = s.masks[b0]
     cover = list(cff_witness.cover)
 
-    overlaps = [(s.masks[c] & b0m).bit_count() for c in cover]
-    top = max(overlaps)
-    b1 = cover[overlaps.index(top)]
-    sigma1 = top - tau0
-    assert sigma1 >= 0, "a t^2-cover forces a block with overlap >= ceil(w/t^2)"
-    selected = [b1]
-    sigmas = [sigma1]
-    covered = b0m & s.masks[b1]
-    for i in range(2, t + 1):
+    # At i = 1 nothing is covered and the re-validated cover meets B_0, so
+    # only later steps can block.
+    selected: list[int] = []
+    sigmas: list[int] = []
+    covered = 0
+    for i in range(1, t + 1):
         rest = b0m & ~covered
         remaining = [c for c in cover if c not in selected]
         if not remaining:
@@ -265,20 +263,21 @@ def ts_violation_from_cff_failure(s: SetSystem, t: int,
         selected.append(bi)
         sigmas.append(gain)
         covered |= b0m & s.masks[bi]
+    sigmas[0] -= tau0
+    assert sigmas[0] >= 0, "a t^2-cover forces a block with overlap >= ceil(w/t^2)"
     spread = sum(sigmas[1:])
-    assert (t + 1) * spread >= w - tau0 - sigma1, "averaging inequality must hold"
+    assert (t + 1) * spread >= w - tau0 - sigmas[0], "averaging inequality must hold"
 
     core = _points(covered)
     need = w - len(core)
     sel_masks = [s.masks[i] for i in selected]
+    shared = seen = 0  # shared: the points in two or more selected blocks
+    for b in sel_masks:
+        shared |= seen & b
+        seen |= b
     pool: list[tuple[int, int]] = []  # (point, owner position)
     for pos, mm in enumerate(sel_masks):
-        others = 0
-        for j, om in enumerate(sel_masks):
-            if j != pos:
-                others |= om
-        private = mm & ~b0m & ~others
-        pool.extend((pt, pos) for pt in _points(private))
+        pool.extend((pt, pos) for pt in _points(mm & ~b0m & ~shared))
     pool.sort()
     picks: list[int] = []
     used = [0] * len(selected)
@@ -478,7 +477,7 @@ class CrossCheck(NamedTuple):
 
 
 def cross_check_bounds(p: SchemeParams, property: str,
-                       budget: int = 2_000_000) -> CrossCheck:
+                       budget: int = DEFAULT_SEARCH_BUDGET) -> CrossCheck:
     """Search the true optimum and place it against the formula bounds."""
     report = bound_report(p, property)
     result = exhaustive_optimal(p, property, budget)

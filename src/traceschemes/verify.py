@@ -564,25 +564,27 @@ class _PackedCounts:
         a += sum(map(self.cols.__getitem__, _points(self.masks[i] & ~u)))
         return u | self.masks[i], a, sums + self.rows[i], guards & ~(self.half << self.width * i)
 
-    def survivors(self, state: tuple[int, int, int, int], k: int, w: int, least: int) -> int:
+    def survivors(self, state: tuple[int, int, int, int], k: int, w: int) -> int:
         """Guard bits of the outsiders of a k-member coalition that pass
-        :func:`_ts_evader`'s first two tests: a = |O & U| >= ``least`` and
-        sum_i (a - |O & B_i|) >= w - a, that is (k + 1) a - sum_i |O & B_i| >= w
-        (which a >= w implies).  Each field is offset by half its range, so
-        it stays in [0, 2^width) and no borrow crosses into the next.
+        :func:`_ts_evader`'s caps test: sum_i (a - |O & B_i|) >= w - a with
+        a = |O & U|, that is (k + 1) a - sum_i |O & B_i| >= w (which a >= w
+        implies).  It implies that scan's first test, a >= ceil(w / k): every
+        point of O & U is in some member, so sum_i |O & B_i| >= a and k a >= w.
+        Each field is offset by half its range, so it stays in [0, 2^width)
+        and no borrow crosses into the next.
         """
         _, a, sums, guards = state
-        return ((k + 1) * a + (self.half - w) * self.ones - sums) \
-            & (a + (self.half - least) * self.ones) & guards
+        return ((k + 1) * a + (self.half - w) * self.ones - sums) & guards
 
 
-def _extension_certificate_holds(s: SetSystem, t: int, cert) -> tuple[bool, str]:
+def _extension_certificate_holds(s: SetSystem, t: int, cert, work: _Work) -> tuple[bool, str]:
     """Re-derive the design-extension argument from the raw system.
 
     ``cert`` only names (d, t, tau); everything is recomputed: the d
     appended points must lie in every block, the width must satisfy
     w == d+1 (mod t*t), and stripping the appended points must leave a
-    tau-(v-d, w-d, 1) design.
+    tau-(v-d, w-d, 1) design.  The design check runs in the room ``work``
+    has left and adds its work there; a stop raises :class:`_BudgetStop`.
     """
     d = getattr(cert, "d", None)
     cert_t = getattr(cert, "t", None)
@@ -606,7 +608,9 @@ def _extension_certificate_holds(s: SetSystem, t: int, cert) -> tuple[bool, str]
         base = new_set_system(s.v - d, base_blocks)
     except Exception as exc:
         return False, f"stripped base system invalid: {exc}"
-    if not verify_design(base, tau, 1).holds:
+    design = verify_design(base, tau, 1, work.budget - work.count)
+    work.tick(design.work)  # past the budget iff the check stopped
+    if not design.holds:
         return False, f"stripped base is not a {tau}-design with index 1"
     return True, f"extension certificate: {tau}-design base plus {d} common points"
 
@@ -621,12 +625,13 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
     list ``c``: append c[-1] + 1, else raise c[-1], else drop c[-1] (it is
     m - 1) and raise the member before.  A coalition no outsider can
     overlap enough is skipped, first by the members' largest overlaps, then
-    by :class:`_PackedCounts`, which applies :func:`_ts_evader`'s first
-    tests to all outsiders at once and counts the m - |C| units that scan
-    would.  ``states[d]`` is the packed state of c[:d + 1], or None until a
-    coalition needs it; it is pushed, reset and popped with c[d], so it
-    always belongs to the members now in ``c``.  Systems whose tables and
-    states could pass :data:`_PACKED_TABLE_BITS` go without this filter.
+    by :class:`_PackedCounts`, which applies :func:`_ts_evader`'s caps
+    test, and so its first test too, to all outsiders at once and counts
+    the m - |C| units that scan would.  ``states[d]`` is the packed state
+    of c[:d + 1], or None until a coalition needs it; it is pushed, reset
+    and popped with c[d], so it always belongs to the members now in
+    ``c``.  Systems whose tables and states could pass
+    :data:`_PACKED_TABLE_BITS` go without this filter.
     For the others, whether some pirate set lets an outsider evade is
     decided by counting overlaps (:func:`_ts_evader`); for the first evaded
     coalition, :func:`_ts_witness` builds the lexicographically first
@@ -634,7 +639,8 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
 
     Certified mode accepts a pairwise intersection bound (every two blocks
     share < ceil(w/t^2) points, checked up to the first pair that does
-    not) or a design-extension certificate, and is otherwise inconclusive.
+    not) or a design-extension certificate, whose design check is paid
+    from the same budget, and is otherwise inconclusive.
     """
     if t < 1:
         raise ParamsInvalid(f"strength t={t} must be >= 1")
@@ -643,20 +649,17 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
         if s.m <= 1:
             return VerifyOutcome(HOLDS, CERTIFIED, detail="at most one block", work=0)
         tau = _ceil_div(s.w, t * t)
-        try:
-            packs = not any(_packing_pairs(s, tau, work))
-        except _BudgetStop:
-            packs = None
-        if packs:
-            detail = f"pairwise intersections below {tau} certify strength {t}"
-            return VerifyOutcome(HOLDS, CERTIFIED, detail=detail, work=work.count)
         detail = "no packing certificate; run exhaustive mode"
-        if certificate is not None:
-            ok, detail = _extension_certificate_holds(s, t, certificate)
-            if ok:
+        try:
+            if not any(_packing_pairs(s, tau, work)):
+                detail = f"pairwise intersections below {tau} certify strength {t}"
                 return VerifyOutcome(HOLDS, CERTIFIED, detail=detail, work=work.count)
-        if packs is None:
-            detail = BUDGET_EXCEEDED  # the packing condition was not decided
+            if certificate is not None:
+                ok, detail = _extension_certificate_holds(s, t, certificate, work)
+                if ok:
+                    return VerifyOutcome(HOLDS, CERTIFIED, detail=detail, work=work.count)
+        except _BudgetStop:
+            detail = BUDGET_EXCEEDED
         return VerifyOutcome(INCONCLUSIVE, CERTIFIED, detail=detail, work=work.count)
     if mode != EXHAUSTIVE:
         raise ParamsInvalid(f"unknown mode {mode!r}")
@@ -703,7 +706,7 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
                 state = states[d - 1] if d else packed.empty
                 for d in range(d, k):
                     state = states[d] = packed.extend(state, c[d])
-                if not packed.survivors(state, k, w, least[k]):
+                if not packed.survivors(state, k, w):
                     work.tick(m - k)  # what _ts_evader counts for its outsiders
                     continue
             coalition = tuple(c)

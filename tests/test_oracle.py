@@ -5,6 +5,7 @@ import inspect
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -32,7 +33,7 @@ from traceschemes import (
     verify_ipps,
     verify_ts,
 )
-from traceschemes.oracle import render_trace_ipps
+from traceschemes.oracle import render_trace_ipps, render_trace_ts
 
 
 def _triples(v):
@@ -178,6 +179,35 @@ def test_ts_trace_oversized_cover_rejected():
     assert set(s.blocks[0]) <= union
     with pytest.raises(ParamsInvalid):
         ts_violation_from_cff_failure(s, 2, CffCover(target=0, cover=cover, strength=6))
+
+
+def _ts_trace_systems():
+    # every w-subset of v points, then seeded random families of w-subsets
+    for v in range(4, 10):
+        for w in range(2, min(4, v - 1) + 1):
+            yield _all_subsets(v, w)
+    rng = random.Random(20)
+    for _ in range(400):
+        v = rng.randrange(5, 12)
+        w = rng.randrange(2, min(5, v - 1) + 1)
+        subsets = list(combinations(range(v), w))
+        m = rng.randrange(3, 17)
+        yield new_set_system(v, sorted(rng.sample(subsets, min(m, len(subsets)))))
+
+
+def test_ts_trace_output_is_pinned():
+    # every t*t-cover verify_cff finds, at t = 2 and 3, replayed into a trace
+    h = hashlib.sha256()
+    steps = Counter()
+    for s in _ts_trace_systems():
+        for t in (2, 3):
+            cff = verify_cff(s, t * t)
+            if cff.violated:
+                trace = ts_violation_from_cff_failure(s, t, cff.witness)
+                steps[getattr(trace, "step", "done")] += 1
+                h.update(render_trace_ts(trace).encode())
+    assert steps == {"done": 421, "select-B3": 315, "sigma-3": 31, "private-points": 5}
+    assert h.hexdigest() == "d2edac7133dd83f44da4b31cc134d91b8cca3122e5964019910341a63b88ee73"
 
 
 # --- missing own-subsets -> ambiguity trace ----------------------------------

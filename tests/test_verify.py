@@ -26,6 +26,7 @@ from traceschemes import (
     SetSystem,
     TauOutOfRange,
     TsEvasion,
+    VerifyOutcome,
     ag_lines,
     check_witness,
     exhaustive_optimal,
@@ -358,6 +359,20 @@ def test_certified_holds_implies_exhaustive_holds():
         assert verify_ts(s, t).holds
 
 
+def test_certified_ts_pays_for_its_extension_certificate():
+    # The packing scan stops at block 0, for 562, and the stripped base's
+    # 2-design check costs C(17, 2) = 136 per line of PG(2, 16): 37,128.
+    s, cert = extend_design(pg_lines(2, 16), 1, 4)
+    assert verify_ts(s, 4, mode="certified", certificate=cert) == VerifyOutcome(
+        "holds", "certified", detail="extension certificate: 2-design base plus 1 common points",
+        work=37_690)
+    assert verify_ts(s, 4, mode="certified", budget=37_690, certificate=cert).holds
+    # A stop in the packing scan, or in the design check, is inconclusive.
+    for budget, work in ((1, 562), (1_000, 1_106), (37_689, 37_690)):
+        assert verify_ts(s, 4, mode="certified", budget=budget, certificate=cert) == VerifyOutcome(
+            "inconclusive", "certified", detail="BudgetExceeded", work=work)
+
+
 # --- parent identification --------------------------------------------------
 
 
@@ -678,7 +693,7 @@ def test_packed_filter_matches_scalar_tests(case):
     for i in coalition:
         state = packed.extend(state, i)
     k = len(coalition)
-    bits = packed.survivors(state, k, s.w, _ceil_div(s.w, k))
+    bits = packed.survivors(state, k, s.w)
     got = {o for o in range(s.m) if bits >> (packed.width * o + packed.width - 1) & 1}
     assert got == _scalar_survivors(s, coalition)
     if not got:
@@ -789,6 +804,29 @@ def test_no_function_calls_itself():
                 calls = [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Call)
                          and isinstance(node.func, ast.Name) and node.func.id == fn.name]
                 assert not calls, f"{path.name}: {fn.name} calls itself at line {calls[0]}"
+
+
+def test_no_function_takes_a_parameter_it_never_reads():
+    # A parameter the body never reads is a flag that does nothing.  self,
+    # cls and the parameters a dunder protocol method must accept are exempt.
+    package = Path(traceschemes.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.Lambda):
+                body = [fn.body]
+            elif isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if fn.name.startswith("__") and fn.name.endswith("__"):
+                    continue
+                body = fn.body
+            else:
+                continue
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if p is not None and p.arg not in ("self", "cls")]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread = [p for p in params if p not in read]
+            assert not unread, f"{path.name}:{fn.lineno} never reads {', '.join(unread)}"
 
 
 def _names_used(tree):
