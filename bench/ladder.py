@@ -1,23 +1,27 @@
-"""The work ladder: fixed exhaustive decisions, each under a work and a time cap.
+"""The work ladder: fixed exhaustive decisions and searches, each under a work and a time cap.
 
 Usage, from the repository root:
 
-    python bench/ladder.py --out BENCH_17.json [--rungs NAME,NAME,...]
-    python bench/ladder.py --compare BENCH_16.json BENCH_17.json
+    python bench/ladder.py --out BENCH_22.json [--rungs NAME,NAME,...]
+    python bench/ladder.py --compare BENCH_21.json BENCH_22.json
 
 Each run of a rung is a child process of this script (``--run NAME``) that
-builds the system from ``src/`` next to this file, decides the rung's
-property with its exhaustive decider (``verify_ts``, ``verify_cff`` or
-``verify_ipps``) at the rung's work cap as budget, and prints one JSON
-line.  A rung runs three times, or once when its first run takes over
-5 s; its wall time is the median of the in-process times of the decider.
-A rung that stops at its work cap (verdict inconclusive) or is killed at
-its time cap is recorded as ``gave-up``; the first keeps the work it
-reached.
+builds the rung's instance from ``src/`` next to this file and runs it at
+the rung's work cap as budget, and prints one JSON line.  A system is
+decided by the property's exhaustive decider (``verify_ts``, ``verify_cff``
+or ``verify_ipps``); the work is the decider's.  A ``SchemeParams`` is
+searched by ``exhaustive_optimal`` under the cap as node budget; its
+verdict is ``complete`` or ``inconclusive``, its work the nodes explored,
+and it records the optimum.  A rung runs three times, or once when its
+first run takes over 5 s; its wall time is the median of the in-process
+times of the decider or search.  A rung that stops at its work cap (verdict
+inconclusive) or is killed at its time cap is recorded as ``gave-up``; the
+first keeps the work it reached.
 
 ``--compare`` prints the work and wall-time deltas per rung and exits 1
-only if a verdict or a hash of verdict and witness differs between two
-rungs that both ended within their time cap.  Uses the standard library only.
+only if a verdict or a hash of the verdict and witness (of a search: its
+optimum and witness family) differs between two rungs that both ended
+within their time cap.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SLOW_S = 5.0  # a rung whose first run takes longer runs once
 SCHEMA = 1
 
-# name: (instance, built by eval over traceschemes' names, property decided
-#        by verify_<property>, strength t, work cap passed as budget, time cap
-#        per run in seconds)
+# name: (instance, built by eval over traceschemes' names: a system, or the
+#        SchemeParams of a search; property decided or searched for, strength
+#        t, work cap passed as budget, time cap per run in seconds)
 RUNGS = {
     "ts-trivial-30-5-t3": ("trivial_ts(30, 5)", "ts", 3, 10**7, 60),
     "ts-extend-pg24-d1-t2": ("extend_design(pg_lines(2, 4), 1, 2)[0]", "ts", 2, 10**7, 60),
@@ -58,24 +62,38 @@ RUNGS = {
     "ipps-pg216-t4": ("pg_lines(2, 16)", "ipps", 4, 10**7, 60),
     "ipps-pg216-plus-block-t4": ("new_set_system(273, [*pg_lines(2, 16).blocks, "
                                  "tuple(range(1, 18))])", "ipps", 4, 10**6, 60),
+    "search-ipps-2-3-9": ("SchemeParams(2, 3, 9)", "ipps", 2, 2 * 10**6, 120),
+    "search-ts-2-4-11": ("SchemeParams(2, 4, 11)", "ts", 2, 2 * 10**6, 120),
+    "search-cff-2-3-8": ("SchemeParams(2, 3, 8)", "cff", 2, 2 * 10**6, 120),
 }
 
 
 def run_rung(name: str) -> dict:
-    """Build and decide one rung in this process (the child's side)."""
+    """Build and decide or search one rung in this process (the child's side)."""
     sys.path.insert(0, str(ROOT / "src"))
     import traceschemes
 
     instance, prop, t, work_cap, _ = RUNGS[name]
-    system = eval(instance, {n: getattr(traceschemes, n) for n in traceschemes.__all__})
-    decide = getattr(traceschemes, "verify_" + prop)
-    start = time.perf_counter()
-    out = decide(system, t, budget=work_cap)
-    seconds = time.perf_counter() - start
-    text = out.verdict + "\n"
-    if out.witness is not None:
-        text += traceschemes.render_witness(out.witness)
-    return {"verdict": out.verdict, "work": out.work, "seconds": seconds,
+    target = eval(instance, {n: getattr(traceschemes, n) for n in traceschemes.__all__})
+    if isinstance(target, traceschemes.SchemeParams):
+        assert target.t == t, name
+        start = time.perf_counter()
+        out = traceschemes.exhaustive_optimal(target, prop, budget=work_cap)
+        seconds = time.perf_counter() - start
+        verdict = "complete" if out.complete else "inconclusive"
+        text = (f"{verdict} optimum={out.optimum}\n"
+                + traceschemes.render_set_system(out.witness_family))
+        optimum, work = out.optimum, out.nodes_explored
+    else:
+        decide = getattr(traceschemes, "verify_" + prop)
+        start = time.perf_counter()
+        out = decide(target, t, budget=work_cap)
+        seconds = time.perf_counter() - start
+        text = out.verdict + "\n"
+        if out.witness is not None:
+            text += traceschemes.render_witness(out.witness)
+        verdict, optimum, work = out.verdict, None, out.work
+    return {"verdict": verdict, "optimum": optimum, "work": work, "seconds": seconds,
             "hash": hashlib.sha256(text.encode()).hexdigest()}
 
 
@@ -92,7 +110,7 @@ def measure(name: str) -> dict:
                                   capture_output=True, text=True, timeout=time_cap)
         except subprocess.TimeoutExpired:
             record.update(status="gave-up", reason="time cap", verdict=None, complete=False,
-                          hash=None, work=None, wall_s=None, runs=len(times))
+                          optimum=None, hash=None, work=None, wall_s=None, runs=len(times))
             return record
         got = json.loads(proc.stdout)
         times.append(got.pop("seconds"))
@@ -119,6 +137,8 @@ def compare(old_path: str, new_path: str) -> int:
             continue
         a, b = old[name], new[name]
         line = f"{name}: {a['status']} -> {b['status']}, verdict {a['verdict']} -> {b['verdict']}"
+        if a.get("optimum") is not None or b.get("optimum") is not None:
+            line += f", optimum {a.get('optimum')} -> {b.get('optimum')}"
         if a["work"] is not None and b["work"] is not None:
             line += f", work {a['work']:,} -> {b['work']:,} ({b['work'] - a['work']:+,})"
         if a["wall_s"] and b["wall_s"]:

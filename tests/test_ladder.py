@@ -1,13 +1,16 @@
-"""The work ladder script on its two cheapest rungs: the JSON it writes and --compare."""
+"""The work ladder script on its two cheapest rungs and one search rung: the JSON it writes and
+--compare."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 LADDER = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
 KEYS = {"name", "instance", "property", "t", "work_cap", "time_cap_s", "python", "nproc", "status",
-        "reason", "verdict", "complete", "hash", "work", "wall_s", "runs"}
+        "reason", "verdict", "complete", "optimum", "hash", "work", "wall_s", "runs"}
 
 
 def _ladder(*args):
@@ -22,8 +25,9 @@ def test_ladder_writes_rungs_and_compares_them(tmp_path):
     data = json.loads(out.read_text())
     assert data["schema"] == 1
     rungs = data["rungs"]
-    assert [(r["name"], r["verdict"], r["work"]) for r in rungs] == [
-        ("ts-extend-pg24-d1-t2", "holds", 5166), ("ts-extend-pg29-d8-t4", "violated", 8063)]
+    assert [(r["name"], r["verdict"], r["optimum"], r["work"]) for r in rungs] == [
+        ("ts-extend-pg24-d1-t2", "holds", None, 5166),
+        ("ts-extend-pg29-d8-t4", "violated", None, 8063)]
     for r in rungs:
         assert set(r) == KEYS
         assert (r["status"], r["reason"], r["complete"], r["runs"]) == ("done", None, True, 3)
@@ -40,3 +44,31 @@ def test_ladder_writes_rungs_and_compares_them(tmp_path):
     assert differs.returncode == 1
     assert "ts-extend-pg29-d8-t4" in differs.stdout.splitlines()[1]
     assert "CHANGED" in differs.stdout.splitlines()[1]
+
+
+def test_search_rung_records_the_optimum_nodes_and_witness_family(tmp_path):
+    # A rung whose instance is a SchemeParams runs exhaustive_optimal under
+    # its cap: the nodes are its work, and the hash covers the optimum and
+    # the witness family, as `search` prints them.
+    done = _ladder("--run", "search-cff-2-3-8")
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    assert (got["verdict"], got["optimum"], got["work"]) == ("complete", 8, 209927)
+    search = subprocess.run([sys.executable, "-m", "traceschemes", "search", "--property", "cff",
+                             "--t", "2", "--w", "3", "--v", "8"], capture_output=True, text=True,
+                            cwd=LADDER.parent.parent, env={**os.environ, "PYTHONPATH": "src"})
+    family = search.stdout.split("\n", 1)[1]
+    text = "complete optimum=8\n" + family
+    assert got["hash"] == hashlib.sha256(text.encode()).hexdigest()
+
+    record = {"name": "search-cff-2-3-8", "status": "done", "verdict": "complete", "optimum": 8,
+              "work": 209927, "hash": got["hash"], "wall_s": got["seconds"]}
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps({"schema": 1, "rungs": [record]}))
+    new.write_text(json.dumps({"schema": 1, "rungs": [{**record, "optimum": 7, "hash": "0" * 64}]}))
+    same = _ladder("--compare", str(old), str(old))
+    assert same.returncode == 0, same.stdout
+    assert "verdict complete -> complete, optimum 8 -> 8, work 209,927 -> 209,927 (+0)" in same.stdout
+    differs = _ladder("--compare", str(old), str(new))
+    assert differs.returncode == 1
+    assert "optimum 8 -> 7" in differs.stdout and "CHANGED" in differs.stdout
