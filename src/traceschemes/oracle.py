@@ -135,6 +135,32 @@ def _cff_extension_ok(masks: list[int], pb: list[list[int]], w: int, t: int,
     return True
 
 
+def _ipps_extension_ok(masks: list[int], pb: list[list[int]],
+                       levels: list[tuple[list[int], list[int]]], w: int, t: int,
+                       work: _Work) -> bool:
+    """Whether the family stays a t-IPPS with masks[-1] added.
+
+    A t-IPPS is a t-CFF: a block B covered by at most t others is an
+    ambiguous w-set, as {B} and those blocks are covers of B that share no
+    block.  The family without the new block is a t-IPPS, so a t-CFF, as
+    :func:`_cff_extension_ok` needs; a new block that fails that test is
+    rejected without touching ``levels``.  The strength must be t itself:
+    a t-IPPS need not be a (t + 1)-CFF.  Otherwise the block is pushed
+    (:func:`_ipps_push`) and the ambiguity walk decides; every ambiguous
+    w-set of the new family has a minimal cover holding the new block
+    (were all of them old, it was ambiguous before).  A rejected block is
+    popped again, so ``levels`` gains the new block only when it is
+    accepted.
+    """
+    if not _cff_extension_ok(masks, pb, w, t, work):
+        return False
+    _ipps_push(levels, masks[-1], len(masks) - 1)
+    if _ipps_ambiguity(levels, w, work) is not None:
+        _ipps_pop(levels)
+        return False
+    return True
+
+
 def exhaustive_optimal(p: SchemeParams, property: str,
                        budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResult:
     """Exact maximum family size by complete colex-canonical search.
@@ -164,10 +190,9 @@ def exhaustive_optimal(p: SchemeParams, property: str,
     # cover kernels expect; a block joins it once accepted.
     pb: list[list[int]] = [[] for _ in range(p.v)]
     # levels[k] lists the selections of k + 1 blocks of the family for the
-    # IPPS check (see _ipps_push): a block is pushed when it is tried, and
-    # popped when it is rejected or when the walk backs up past it.
+    # IPPS check (see _ipps_push): a block is pushed once it is accepted,
+    # and popped when the walk backs up past it.
     levels: list[tuple[list[int], list[int]]] = [([], []) for _ in range(p.t)]
-    ipps = property == "ipps"
     nodes = _Work(budget)
     work = _Work()  # the node budget bounds the search instead
     complete = True
@@ -184,11 +209,7 @@ def exhaustive_optimal(p: SchemeParams, property: str,
             elif property == "cff":
                 ok = _cff_extension_ok(masks, pb, p.w, p.t, work)
             else:
-                # The family without the new block is an IPPS, so every
-                # ambiguous w-set has a minimal cover holding the new block
-                # (were all of them old, it was ambiguous before).
-                _ipps_push(levels, mask, index)
-                ok = _ipps_ambiguity(levels, p.w, work) is None
+                ok = _ipps_extension_ok(masks, pb, levels, p.w, p.t, work)
             if ok:
                 if len(masks) > len(best):
                     best = masks.copy()
@@ -196,14 +217,12 @@ def exhaustive_optimal(p: SchemeParams, property: str,
                     pb[q].append(index)
             else:
                 masks.pop()
-                if ipps:
-                    _ipps_pop(levels)
             mask = _colex_next(mask)
             while mask >> p.v and masks:  # past the last w-set: back up
                 mask = masks.pop()
                 for q in _points(mask):
                     pb[q].pop()
-                if ipps:
+                if property == "ipps":
                     _ipps_pop(levels)
                 mask = _colex_next(mask)
     except _BudgetStop:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import traceschemes
 from traceschemes import (
     CffCover,
+    ExtensionCertificate,
     IppsAmbiguity,
     ParamsInvalid,
     SchemeParams,
@@ -45,7 +46,8 @@ from traceschemes import (
     verify_packing,
     verify_ts,
 )
-from traceschemes.core import FormatError, _ceil_div, _points, _union
+from traceschemes.core import FormatError, _ceil_div, _mask, _points, _union
+from traceschemes.oracle import _ipps_extension_ok
 from traceschemes.verify import (
     _at_least,
     _BudgetStop,
@@ -371,6 +373,20 @@ def test_certified_ts_pays_for_its_extension_certificate():
     for budget, work in ((1, 562), (1_000, 1_106), (37_689, 37_690)):
         assert verify_ts(s, 4, mode="certified", budget=budget, certificate=cert) == VerifyOutcome(
             "inconclusive", "certified", detail="BudgetExceeded", work=work)
+
+
+def test_extension_certificate_needs_the_width_congruence():
+    # The PG(2, 9) extension by d = 8 has width 18 = d + 1 (mod 9), so it
+    # certifies at t = 3.  At t = 4, 18 is not 9 (mod 16), and a coalition
+    # of four blocks is evaded; its base is still a 2-design with index 1,
+    # so without the congruence test the certificate would hold.
+    s = extend_design(pg_lines(2, 9), 8, 3)[0]
+    cert = ExtensionCertificate(d=8, t=4, tau=2)
+    assert verify_ts(s, 4, mode="certified", certificate=cert) == VerifyOutcome(
+        "inconclusive", "certified", detail="width 18 is not d+1 (mod t^2) for d=8", work=828)
+    out = verify_ts(s, 4)
+    assert (out.verdict, out.witness.coalition, out.witness.outsider) == (
+        "violated", (0, 1, 2, 3), 10)
 
 
 # --- parent identification --------------------------------------------------
@@ -1339,6 +1355,46 @@ def test_ipps_search_is_pinned():
         r = exhaustive_optimal(SchemeParams(*params), "ipps")
         digest = hashlib.sha256(repr(r.witness_family.blocks).encode()).hexdigest()
         assert (r.optimum, r.complete, r.nodes_explored, digest) == pin, params
+
+
+@st.composite
+def ipps_extensions(draw):
+    """(v, t, F, N): a family F of at most six w-sets that is a t-IPPS, and a
+    w-set N not in F, with v <= 10, w <= 4 and t in {2, 3}."""
+    t = draw(st.sampled_from([2, 3]))
+    w = draw(st.integers(2, 4))
+    v = draw(st.integers(w + 1, 10))
+    block = st.lists(st.integers(0, v - 1), min_size=w, max_size=w, unique=True)
+    block = block.map(sorted).map(tuple)
+    family: list[tuple[int, ...]] = []
+    for b in draw(st.lists(block, min_size=2, max_size=16, unique=True)):
+        if len(family) < 6 and verify_ipps(new_set_system(v, [*family, b]), t).holds:
+            family.append(b)
+    return v, t, family, draw(block.filter(lambda b: b not in family))
+
+
+@given(ipps_extensions())
+@example((10, 2, [(0, 4, 7), (1, 5, 8), (3, 6, 9)], (3, 5, 7)))
+def test_ipps_extension_check_matches_brute_force(case):
+    # The search's IPPS check runs the cover kernel at strength t first, as
+    # a t-IPPS is a t-CFF.  In the example F + N is a 2-IPPS and a 2-CFF,
+    # but N lies in the union of F's three blocks, so a test at strength
+    # t + 1 would reject it.
+    v, t, family, new = case
+    w = len(new)
+    f = new_set_system(v, family, width=w)
+    assert brute_ipps(f, t)
+    masks = [*f.masks, _mask(new)]
+    pb = [[i for i, b in enumerate(f.blocks) if q in b] for q in range(v)]
+    levels = [([], []) for _ in range(t)]
+    for i, mask in enumerate(f.masks):
+        _ipps_push(levels, mask, i)
+    expected = [(unions.copy(), bits.copy()) for unions, bits in levels]
+    ok = _ipps_extension_ok(masks, pb, levels, w, t, _Work())
+    assert ok == brute_ipps(new_set_system(v, [*family, new]), t)
+    if ok:  # the lists gain the new block only when it is accepted
+        _ipps_push(expected, masks[-1], f.m)
+    assert levels == expected
 
 
 @given(small_systems(), st.integers(1, 3))
