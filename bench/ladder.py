@@ -2,8 +2,8 @@
 
 Usage, from the repository root:
 
-    python bench/ladder.py --out BENCH_22.json [--rungs NAME,NAME,...]
-    python bench/ladder.py --compare BENCH_21.json BENCH_22.json
+    python bench/ladder.py --out BENCH_23.json [--rungs NAME,NAME,...]
+    python bench/ladder.py --compare BENCH_22.json BENCH_23.json
 
 Each run of a rung is a child process of this script (``--run NAME``) that
 builds the rung's instance from ``src/`` next to this file and runs it at
@@ -21,7 +21,10 @@ first keeps the work it reached.
 ``--compare`` prints the work and wall-time deltas per rung and exits 1
 only if a verdict or a hash of the verdict and witness (of a search: its
 optimum and witness family) differs between two rungs that both ended
-within their time cap.  Uses the standard library only.
+within their time cap.  One such change is progress, printed as
+``PROGRESS`` and not failed: a rung that was inconclusive is now decided,
+and a search so decided has an optimum at least the old one.  Uses the
+standard library only.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ RUNGS = {
     "ipps-pg216-t4": ("pg_lines(2, 16)", "ipps", 4, 10**7, 60),
     "ipps-pg216-plus-block-t4": ("new_set_system(273, [*pg_lines(2, 16).blocks, "
                                  "tuple(range(1, 18))])", "ipps", 4, 10**6, 60),
+    "ipps-extend-pg216-d1-t4": ("extend_design(pg_lines(2, 16), 1, 4)[0]", "ipps", 4, 10**6, 60),
     "search-ipps-2-3-9": ("SchemeParams(2, 3, 9)", "ipps", 2, 2 * 10**6, 120),
     "search-ts-2-4-11": ("SchemeParams(2, 4, 11)", "ts", 2, 2 * 10**6, 120),
     "search-cff-2-3-8": ("SchemeParams(2, 3, 8)", "cff", 2, 2 * 10**6, 120),
@@ -146,8 +150,12 @@ def compare(old_path: str, new_path: str) -> int:
                      f" ({b['wall_s'] / a['wall_s'] - 1:+.1%})")
         if a["verdict"] is not None and b["verdict"] is not None \
                 and (a["verdict"], a["hash"]) != (b["verdict"], b["hash"]):
-            line += "  VERDICT OR HASH CHANGED"
-            changed += 1
+            if a["verdict"] == "inconclusive" and b["verdict"] != "inconclusive" \
+                    and (b.get("optimum") or 0) >= (a.get("optimum") or 0):
+                line += "  PROGRESS"
+            else:
+                line += "  VERDICT OR HASH CHANGED"
+                changed += 1
         print(line)
     return 1 if changed else 0
 

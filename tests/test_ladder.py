@@ -72,3 +72,39 @@ def test_search_rung_records_the_optimum_nodes_and_witness_family(tmp_path):
     differs = _ladder("--compare", str(old), str(new))
     assert differs.returncode == 1
     assert "optimum 8 -> 7" in differs.stdout and "CHANGED" in differs.stdout
+
+
+def _compare(tmp_path, old, new):
+    """Exit status and verdict marks of --compare on one fabricated rung, old -> new."""
+    paths = []
+    for side, (verdict, optimum, digest) in (("old", old), ("new", new)):
+        record = {"name": "rung", "status": "done", "verdict": verdict, "optimum": optimum,
+                  "work": 10, "hash": digest, "wall_s": 0.1}
+        paths.append(tmp_path / f"{side}.json")
+        paths[-1].write_text(json.dumps({"schema": 1, "rungs": [record]}))
+    done = _ladder("--compare", *map(str, paths))
+    return done.returncode, "PROGRESS" in done.stdout, "CHANGED" in done.stdout
+
+
+def test_compare_passes_progress_and_fails_every_other_change(tmp_path):
+    # A rung that stopped at its work cap and is now decided is progress: the
+    # aim of a faster decider.  A search counts only with an optimum no lower.
+    a, b = "a" * 64, "b" * 64
+    progress = (0, True, False)
+    changed = (1, False, True)
+    cases = [
+        (("inconclusive", None, a), ("holds", None, b), progress),
+        (("inconclusive", None, a), ("violated", None, b), progress),
+        (("inconclusive", 12, a), ("complete", 12, b), progress),
+        (("inconclusive", 12, a), ("complete", 13, b), progress),
+        (("inconclusive", 12, a), ("complete", 11, b), changed),
+        (("holds", None, a), ("inconclusive", None, b), changed),
+        (("complete", 12, a), ("inconclusive", 12, b), changed),
+        (("holds", None, a), ("violated", None, b), changed),
+        (("violated", None, a), ("violated", None, b), changed),
+        (("inconclusive", 12, a), ("inconclusive", 12, b), changed),
+        (("inconclusive", None, a), ("inconclusive", None, a), (0, False, False)),
+        (("holds", None, a), (None, None, None), (0, False, False)),
+    ]
+    for old, new, expected in cases:
+        assert _compare(tmp_path, old, new) == expected, (old, new)
