@@ -35,14 +35,18 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-e
 
 # name: (file under src/traceschemes, exact text, replacement)
 MUTANTS = {
-    "certified-ts-tau+1": (
+    "pairwise-certificate-tau+1": (
         "verify.py",
-        "        tau = _ceil_div(s.w, t * t)\n        detail = ",
-        "        tau = _ceil_div(s.w, t * t) + 1\n        detail = "),
-    "certified-ipps-tau+1": (
+        "tau = _ceil_div(s.w - d, t * t)",
+        "tau = _ceil_div(s.w - d, t * t) + 1"),
+    "pairwise-certificate-unstripped-width": (
         "verify.py",
-        "    tau = _ceil_div(s.w, t * t)\n    try:\n",
-        "    tau = _ceil_div(s.w, t * t) + 1\n    try:\n"),
+        "tau = _ceil_div(s.w - d, t * t)",
+        "tau = _ceil_div(s.w, t * t)"),
+    "certificate-core-every-block-unchecked": (
+        "verify.py",
+        "if any(mask & core != core for mask in s.masks):",
+        "if False:"),
     "at-least-strict": (
         "verify.py",
         "    return above | equal\n",
@@ -75,10 +79,6 @@ MUTANTS = {
         "verify.py",
         "reach = (limit - len(chosen) - 1) * w",
         "reach = (limit - len(chosen) - 2) * w"),
-    "extension-certificate-no-congruence": (
-        "verify.py",
-        "    if s.w % tt != (d + 1) % tt:\n",
-        "    if False:\n"),
     "cff-extension-limit-2": (
         "oracle.py",
         "_find_cover(masks, pb, residual, limit - 1, w, work, b)",

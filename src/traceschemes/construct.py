@@ -48,9 +48,10 @@ class CongruenceViolated(ParamsInvalid):
 class ExtensionCertificate(NamedTuple):
     """Records why an extended design is a strength-t traceability scheme.
 
-    The certified system has d common points appended to every block of a
-    tau-(v-d, w-d, 1) design, with w == d+1 (mod t*t); certified TS
-    verification re-derives the whole argument from the system itself.
+    The system has d common points, the last d labels, appended to every
+    block of a tau-(v-d, w-d, 1) design, with w == d+1 (mod t*t); certified
+    TS verification reads only d and re-checks the pairwise bound this
+    implies on the blocks less those points from the system itself.
     """
 
     d: int
@@ -267,7 +268,7 @@ def extend_design(base: SetSystem, d: int, t: int) -> tuple[SetSystem, Extension
     The base must be a tau-(v0, w0, 1) design with tau = ceil((w0+d)/t^2)
     and w0 + d == d + 1 (mod t^2); the result is a strength-t traceability
     scheme on v0 + d points with the same number of blocks, plus a
-    certificate that certified verification re-checks from scratch.
+    certificate naming the d appended points for certified verification.
     """
     if t < 2:
         raise ParamsInvalid(f"strength t={t} must be >= 2")

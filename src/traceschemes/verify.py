@@ -12,10 +12,11 @@ overlap counts packed one field per block; it then decides whether some
 pirate set evades the coalition by counting overlaps, and builds the
 witness's pirate set a point at a time by the same counting.
 Certified mode, for TS only, proves the property from the pairwise
-packing condition or from a design-extension certificate, and says
-"inconclusive" otherwise.  IPPS tries that packing condition first (a
-t-TS is a t-IPPS), and otherwise extends ambiguous point sets depth
-first, a point at a time.
+packing condition on the blocks less a core of points that lie in all of
+them (the points a design-extension certificate says were appended), and
+says "inconclusive" otherwise.  IPPS tries that condition first, with the
+points common to all blocks as the core (a t-TS is a t-IPPS), and
+otherwise extends ambiguous point sets depth first, a point at a time.
 
 Every depth-first search here, over CFF covers, TS coalitions, TS cell
 packings and IPPS point sets, is a loop over an explicit stack, so no input
@@ -48,7 +49,6 @@ from .core import (
     _mask,
     _points,
     _union,
-    new_set_system,
 )
 
 HOLDS = "holds"
@@ -577,42 +577,23 @@ class _PackedCounts:
         return ((k + 1) * a + (self.half - w) * self.ones - sums) & guards
 
 
-def _extension_certificate_holds(s: SetSystem, t: int, cert, work: _Work) -> tuple[bool, str]:
-    """Re-derive the design-extension argument from the raw system.
+def _pairwise_certificate(s: SetSystem, t: int, core: int, work: _Work) -> int | None:
+    """tau = ceil((w - d)/t^2) if the blocks less ``core`` share < tau points pairwise, else None.
 
-    ``cert`` only names (d, t, tau); everything is recomputed: the d
-    appended points must lie in every block, the width must satisfy
-    w == d+1 (mod t*t), and stripping the appended points must leave a
-    tau-(v-d, w-d, 1) design.  The design check runs in the room ``work``
-    has left and adds its work there; a stop raises :class:`_BudgetStop`.
+    ``core`` is a mask of d < w points in every block; then s is a t-TS.
+    Every block meets a pirate set T in |T & core| plus its overlap with
+    T - core, so the core cancels from the evasion test, and T - core has
+    at least w - d points.  Some member of a coalition of at most t blocks
+    holds ceil((w - d)/t) or more of them, an outsider at most
+    t (tau - 1) < (w - d)/t.  With d = 0 this is Stinson and Wei's condition.
+    The scan is :func:`_packing_pairs` on the stripped blocks, at its cost.
     """
-    d = getattr(cert, "d", None)
-    cert_t = getattr(cert, "t", None)
-    tau = getattr(cert, "tau", None)
-    if d is None or cert_t is None or tau is None:
-        return False, "certificate missing fields"
-    if cert_t != t:
-        return False, f"certificate strength {cert_t} != requested {t}"
-    tt = t * t
-    if not 0 <= d <= tt - 1:
-        return False, f"certificate d={d} outside [0, {tt - 1}]"
-    if s.w % tt != (d + 1) % tt:
-        return False, f"width {s.w} is not d+1 (mod t^2) for d={d}"
-    if tau != _ceil_div(s.w, tt):
-        return False, f"certificate tau={tau} != ceil(w/t^2)"
-    appended = _mask(range(s.v - d, s.v))
-    if any(mask & appended != appended for mask in s.masks):
-        return False, "appended points missing from some block"
-    base_blocks = [[p for p in b if p < s.v - d] for b in s.blocks]
-    try:
-        base = new_set_system(s.v - d, base_blocks)
-    except Exception as exc:
-        return False, f"stripped base system invalid: {exc}"
-    design = verify_design(base, tau, 1, work.budget - work.count)
-    work.tick(design.work)  # past the budget iff the check stopped
-    if not design.holds:
-        return False, f"stripped base is not a {tau}-design with index 1"
-    return True, f"extension certificate: {tau}-design base plus {d} common points"
+    d = core.bit_count()
+    tau = _ceil_div(s.w - d, t * t)
+    if core:
+        s = SetSystem(s.v, s.w - d, tuple(tuple(p for p in b if not core >> p & 1)
+                                          for b in s.blocks))
+    return None if any(_packing_pairs(s, tau, work)) else tau
 
 
 def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
@@ -637,10 +618,12 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
     coalition, :func:`_ts_witness` builds the lexicographically first
     pirate set from the same counts, without listing w-subsets of the union.
 
-    Certified mode accepts a pairwise intersection bound (every two blocks
-    share < ceil(w/t^2) points, checked up to the first pair that does
-    not) or a design-extension certificate, whose design check is paid
-    from the same budget, and is otherwise inconclusive.
+    Certified mode accepts :func:`_pairwise_certificate`'s bound, checked
+    up to the first pair that fails it, and is otherwise inconclusive.  Its
+    core is the d points ``certificate`` says were appended, the last d
+    labels, or none; its t and tau are not read.  A certificate whose d is
+    not an int in [0, w), or whose points miss a block, is ignored, and its
+    reason is the detail if the plain scan fails.
     """
     if t < 1:
         raise ParamsInvalid(f"strength t={t} must be >= 1")
@@ -648,16 +631,21 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
     if mode == CERTIFIED:
         if s.m <= 1:
             return VerifyOutcome(HOLDS, CERTIFIED, detail="at most one block", work=0)
-        tau = _ceil_div(s.w, t * t)
-        detail = "no packing certificate; run exhaustive mode"
+        core, detail = 0, "no packing certificate; run exhaustive mode"
+        if certificate is not None:
+            d = getattr(certificate, "d", None)
+            if type(d) is not int or not 0 <= d < s.w:
+                detail = f"certificate d={d!r} outside [0, {s.w - 1}]"
+            else:
+                core = _mask(range(s.v - d, s.v))
+                if any(mask & core != core for mask in s.masks):
+                    core, detail = 0, "appended points missing from some block"
         try:
-            if not any(_packing_pairs(s, tau, work)):
-                detail = f"pairwise intersections below {tau} certify strength {t}"
+            tau = _pairwise_certificate(s, t, core, work)
+            if tau is not None:
+                where = f" outside {core.bit_count()} common points" if core else ""
+                detail = f"pairwise intersections{where} below {tau} certify strength {t}"
                 return VerifyOutcome(HOLDS, CERTIFIED, detail=detail, work=work.count)
-            if certificate is not None:
-                ok, detail = _extension_certificate_holds(s, t, certificate, work)
-                if ok:
-                    return VerifyOutcome(HOLDS, CERTIFIED, detail=detail, work=work.count)
         except _BudgetStop:
             detail = BUDGET_EXCEEDED
         return VerifyOutcome(INCONCLUSIVE, CERTIFIED, detail=detail, work=work.count)
@@ -811,9 +799,10 @@ def verify_ipps(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOut
     """Holds iff every width-w pirate set with a cover has a common parent block.
 
     A t-TS is a t-IPPS: a block of largest overlap with the pirate set lies
-    in every cover.  So a system in which every two blocks share fewer than
-    ceil(w/t^2) points holds by the pairwise condition of certified TS,
-    checked by its scan at its cost, and no selection is listed.  Otherwise
+    in every cover.  So a system holds, and no selection is listed, when
+    its blocks less the d points common to all of them share fewer than
+    ceil((w-d)/t^2) points pairwise: the certificate of certified TS
+    (:func:`_pairwise_certificate`), at its cost.  Otherwise
     each size k = 1..min(t, m) is paid for, C(m, k) work units, before any
     selection is listed, so the budget also bounds memory; then the blocks
     are pushed one by one (:func:`_ipps_push`) and :func:`_ipps_ambiguity`
@@ -825,10 +814,12 @@ def verify_ipps(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOut
     if s.m < 2:  # one block is a common parent of all it covers
         return VerifyOutcome(HOLDS, EXHAUSTIVE, work=0)
     work = _Work(budget)
-    tau = _ceil_div(s.w, t * t)
+    core = reduce(and_, s.masks)
     try:
-        if not any(_packing_pairs(s, tau, work)):
-            detail = f"pairwise intersections below {tau} certify a {t}-TS, so a {t}-IPPS"
+        tau = _pairwise_certificate(s, t, core, work)
+        if tau is not None:
+            where = f" outside {core.bit_count()} common points" if core else ""
+            detail = f"pairwise intersections{where} below {tau} certify a {t}-TS, so a {t}-IPPS"
             return VerifyOutcome(HOLDS, EXHAUSTIVE, detail=detail, work=work.count)
         levels: list[tuple[list[int], list[int]]] = [([], []) for _ in range(min(t, s.m))]
         for k in range(1, len(levels) + 1):

@@ -381,6 +381,23 @@ def test_extend_via_cli(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ipps_certificate_strips_the_common_points(tmp_path, capsys):
+    # The PG(2, 16) lines extended by one point meet in two points, but less
+    # that point in one, below ceil(17/16) = 2: a 4-TS, so a 4-IPPS, settled
+    # without listing the 229,779,277 selections of at most 4 blocks.
+    base, ext = tmp_path / "pg216.ss", tmp_path / "ext.ss"
+    assert main(["construct", "--family", "pg-lines", "--n", "2", "--q", "16",
+                 "-o", str(base)]) == 0
+    assert main(["construct", "--family", "extend", "--base", str(base), "--d", "1", "--t", "4",
+                 "-o", str(ext)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--property", "ipps", "--t", "4", "--budget", "1000000", str(ext)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "verify property=ipps t=4 mode=exhaustive verdict=holds work=78897\n"
+    assert captured.err == ("detail: pairwise intersections outside 1 common points below 2 "
+                            "certify a 4-TS, so a 4-IPPS\n")
+
+
 def test_construct_refuses_flags_its_family_does_not_read(tmp_path, capsys):
     base = tmp_path / "pg24.ss"
     assert main(["construct", "--family", "pg-lines", "--n", "2", "--q", "4",
@@ -502,7 +519,7 @@ def test_wide_inputs_end_without_internal_error(tmp_path, capsys):
     assert main(["verify", "--property", "ipps", "--t", "2", str(three)]) == 1
     captured = capsys.readouterr()
     first, rest = captured.out.split("\n", 1)
-    assert first == "verify property=ipps t=2 mode=exhaustive verdict=violated work=12005"
+    assert first == "verify property=ipps t=2 mode=exhaustive verdict=violated work=7511"
     assert "internal error" not in captured.err
     wit = tmp_path / "three.wit"
     wit.write_text(rest, encoding="utf-8")
@@ -511,9 +528,13 @@ def test_wide_inputs_end_without_internal_error(tmp_path, capsys):
     trivial = tmp_path / "trivial.ss"
     assert main(["construct", "--family", "trivial", "--v", "1510", "--w", "1500",
                  "-o", str(trivial)]) == 0
+    # Less their 1,499 common points the blocks are single points, so the
+    # pairwise certificate settles it.
     assert main(["verify", "--property", "ipps", "--t", "2", "--budget", "2000000",
-                 str(trivial)]) == 3
-    assert "internal error" not in capsys.readouterr().err
+                 str(trivial)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "verify property=ipps t=2 mode=exhaustive verdict=holds work=11\n"
+    assert "internal error" not in captured.err
     # The ground-set cap is checked before the greedy walk over C(4097, 2) pairs.
     assert main(["construct", "--family", "greedy", "--v", "4097", "--w", "2", "--t", "2"]) == 2
     captured = capsys.readouterr()

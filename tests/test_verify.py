@@ -362,31 +362,75 @@ def test_certified_holds_implies_exhaustive_holds():
 
 
 def test_certified_ts_pays_for_its_extension_certificate():
-    # The packing scan stops at block 0, for 562, and the stripped base's
-    # 2-design check costs C(17, 2) = 136 per line of PG(2, 16): 37,128.
+    # The certificate's appended point lies in every block, so the scan
+    # reads the lines of PG(2, 16) less it: 17 points of degree 17, 289 per
+    # block, 78,897 in all.  Stripping the point is not charged.  The
+    # certificate's t and tau are not read, so one made for t = 2 serves.
     s, cert = extend_design(pg_lines(2, 16), 1, 4)
-    assert verify_ts(s, 4, mode="certified", certificate=cert) == VerifyOutcome(
-        "holds", "certified", detail="extension certificate: 2-design base plus 1 common points",
-        work=37_690)
-    assert verify_ts(s, 4, mode="certified", budget=37_690, certificate=cert).holds
-    # A stop in the packing scan, or in the design check, is inconclusive.
-    for budget, work in ((1, 562), (1_000, 1_106), (37_689, 37_690)):
+    holds = VerifyOutcome(
+        "holds", "certified",
+        detail="pairwise intersections outside 1 common points below 2 certify strength 4",
+        work=78_897)
+    assert verify_ts(s, 4, mode="certified", certificate=cert) == holds
+    assert verify_ts(s, 4, mode="certified", certificate=ExtensionCertificate(1, 2, 9)) == holds
+    assert verify_ts(s, 4, mode="certified", budget=78_897, certificate=cert).holds
+    # A stop in the scan is inconclusive.
+    for budget, work in ((1, 289), (1_000, 1_156), (78_896, 78_897)):
         assert verify_ts(s, 4, mode="certified", budget=budget, certificate=cert) == VerifyOutcome(
             "inconclusive", "certified", detail="BudgetExceeded", work=work)
 
 
-def test_extension_certificate_needs_the_width_congruence():
-    # The PG(2, 9) extension by d = 8 has width 18 = d + 1 (mod 9), so it
-    # certifies at t = 3.  At t = 4, 18 is not 9 (mod 16), and a coalition
-    # of four blocks is evaded; its base is still a 2-design with index 1,
-    # so without the congruence test the certificate would hold.
+def test_certificate_threshold_reads_the_stripped_width():
+    # The PG(2, 9) extension by d = 8 has width 18.  Less the 8 appended
+    # points its lines meet in one point, not below ceil(10/16) = 1, so at
+    # t = 4 the certificate fails at block 0, 10 points of degree 10.  At
+    # ceil(18/16) = 2 it would pass, and a coalition of four blocks is evaded.
     s = extend_design(pg_lines(2, 9), 8, 3)[0]
     cert = ExtensionCertificate(d=8, t=4, tau=2)
     assert verify_ts(s, 4, mode="certified", certificate=cert) == VerifyOutcome(
-        "inconclusive", "certified", detail="width 18 is not d+1 (mod t^2) for d=8", work=828)
+        "inconclusive", "certified", detail="no packing certificate; run exhaustive mode", work=100)
     out = verify_ts(s, 4)
     assert (out.verdict, out.witness.coalition, out.witness.outsider) == (
         "violated", (0, 1, 2, 3), 10)
+    # Points 5 and 6 are not in every block, so the certificate naming them
+    # is ignored; stripped, the four blocks would be disjoint.
+    s = new_set_system(7, [(0, 5, 6), (1, 5, 6), (2, 5, 6), (3, 4, 5)])
+    assert verify_ts(s, 2, mode="certified", certificate=ExtensionCertificate(2, 2, 1)) == (
+        VerifyOutcome("inconclusive", "certified",
+                      detail="appended points missing from some block", work=8))
+    assert verify_ts(s, 2).witness == TsEvasion(coalition=(0, 3), pirate=(3, 5, 6), outsider=1)
+
+
+def test_certified_ts_ignores_a_malformed_certificate():
+    # A d that is not an int in [0, w) leaves the plain scan, which fails at
+    # block 0: 5 points of degree 5 and the appended point, of degree 21.
+    s = extend_design(pg_lines(2, 4), 1, 2)[0]
+    for d in ("1", 1.0, -1, 6, None):
+        out = verify_ts(s, 2, mode="certified", certificate=ExtensionCertificate(d, 2, 2))
+        assert (out.verdict, out.detail, out.work) == (
+            "inconclusive", f"certificate d={d!r} outside [0, 5]", 46), d
+
+
+@st.composite
+def cored_systems(draw):
+    """A system whose blocks all hold d <= 3 planted points, the top labels, and d."""
+    d = draw(st.integers(0, 3))
+    v = draw(st.integers(2, 12 - d))
+    w = draw(st.integers(1, min(7 - d, v - 1)))
+    pool = list(combinations(range(v), w))
+    base = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=min(12, len(pool)),
+                         unique=True))
+    return new_set_system(v + d, [b + tuple(range(v, v + d)) for b in base]), d
+
+
+@given(cored_systems(), st.integers(2, 3))
+@example((new_set_system(7, [(0, 5, 6), (1, 5, 6), (2, 5, 6), (3, 4, 5)]), 2), 2)
+def test_stripped_certificate_never_settles_a_violated_system(case, t):
+    s, d = case
+    if verify_ts(s, t, mode="certified", certificate=ExtensionCertificate(d, t, 0)).holds:
+        assert brute_ts(s, t)
+    if verify_ipps(s, t).detail.startswith("pairwise intersections"):
+        assert not brute_ambiguous(s, t)
 
 
 # --- parent identification --------------------------------------------------
@@ -1137,8 +1181,10 @@ def test_ipps_certificate_never_settles_a_violated_system(s, t):
     assert out.holds == (found is None)
     if out.detail.startswith("pairwise intersections"):
         assert out.holds and not brute_ambiguous(s, t)
-        # The same scan as certified TS, so the same work.
-        assert out.work == verify_ts(s, t, mode="certified").work
+        # The same scan as certified TS, so the same work, where no point
+        # lies in every block; otherwise IPPS strips those points first.
+        if "common points" not in out.detail:
+            assert out.work == verify_ts(s, t, mode="certified").work
 
 
 def test_ipps_of_a_packing_lists_no_triple():
@@ -1234,12 +1280,12 @@ def test_ipps_work_stays_below_candidate_listing():
 
 
 def test_ipps_outcomes_and_work_are_pinned():
-    # Verdicts, witnesses and work of the walk on seeded random systems, 78
+    # Verdicts, witnesses and work of the walk on seeded random systems, 77
     # of them stopped by the small budget.  Work is CLI output, and it pins
     # the walk's order: a walk that skipped a point after backtracking still
-    # finds every witness here, but counts less.  Three systems of two
-    # disjoint blocks of two points are settled by the pairwise certificate
-    # at work 4, one unit per point of each block.
+    # finds every witness here, but counts less.  105 of the 300 systems
+    # have points common to all blocks; with those stripped, 34 systems are
+    # settled by the pairwise certificate at some t, where 3 were without.
     rng = random.Random(3)
     h = hashlib.sha256()
     for _ in range(300):
@@ -1248,7 +1294,7 @@ def test_ipps_outcomes_and_work_are_pinned():
         for t in (2, 3):
             for budget in (10**9, 300):
                 h.update(repr(verify_ipps(s, t, budget)).encode())
-    assert h.hexdigest() == "a4a3ef2ffd2a1d46b6d2dec080a046c7546fc6e04486cf8aa4cd28454bb8d5f8"
+    assert h.hexdigest() == "a1eb56b985588e6295ec48ad6e40eec56a03d1f132787f346022eeccabb39834"
 
 
 def test_cff_and_ts_outcomes_and_work_are_pinned():
