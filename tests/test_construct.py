@@ -224,6 +224,8 @@ DESIGN_DIGESTS = [
     (inversive_plane, (4,), "5850dcf79f2231e705a81edb7ad248fb2025445791dd27a778196af398f18c0e"),
     (inversive_plane, (5,), "97aa6566d70d12a69b7c4dbc2277295475e5f085eabe23346a2f0d6ffef537a0"),
     (inversive_plane, (7,), "13bc5180fb0f53e5b532cba4d1f3486c3cc0c19559177f06f2c29c2464be436a"),
+    (inversive_plane, (8,), "e6443a1d487eaa7282ee1633c912f808171c45334a1294898db9edc6a4bfbc48"),
+    (inversive_plane, (9,), "d4ea35c4eda0233b6cb035e2594f8366eb66c90b70bbbd0aed206bdc0e2215a8"),
 ]
 
 
