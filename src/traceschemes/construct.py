@@ -8,8 +8,11 @@ last), so repeated runs produce byte-identical files.
 
 The four tau-(v, w, 1) designs (projective and affine lines, the Hermitian
 unital, the inversive plane) each supply only the block through a given
-pair or triple of points; :func:`_steiner_blocks` walks the tau-subsets and
-builds each block once, from the first tau-subset it contains.
+pair or triple of points; :func:`_steiner_blocks` refuses a design whose
+C(v, tau)/C(w, tau) blocks exceed the budget, then walks the tau-subsets
+and builds each block once, from the first tau-subset it contains.  The
+inversive plane reads its circles off the cross-ratio on homogeneous
+coordinates, so the infinite point needs no case of its own.
 """
 
 from __future__ import annotations
@@ -86,16 +89,18 @@ def trivial_ts(v: int, w: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
 # finite-geometry designs
 
 
-def _steiner_blocks(n: int, tau: int, block_through) -> SetSystem:
+def _steiner_blocks(n: int, tau: int, w: int, budget: int, block_through) -> SetSystem:
     """The tau-(n, w, 1) design whose block through each tau-subset S of
     range(n) is block_through(*S), each block built once.
 
+    Its C(n, tau)/C(w, tau) blocks are paid for before the first is built.
     The tau-subsets are walked in lexicographic order, and block_through is
     called only for those that no block built so far contains.
     covered[P] is the mask of the points that extend the (tau-1)-subset P to
     a tau-subset of some built block; it is read only for points above P's
     last, so a block marks only its (tau-1)-subsets that miss its last point.
     """
+    _check_size(comb(n, tau) // comb(w, tau), w, budget)
     covered: dict[tuple[int, ...], int] = {}
     blocks = []
     for prefix in combinations(range(n), tau - 1):
@@ -143,7 +148,6 @@ def pg_lines(n: int, q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     field = gf(q)
     v = (q ** (n + 1) - 1) // (q - 1)
     _check_ground_set(v)  # before a point is built
-    _check_size(comb(v, 2) // comb(q + 1, 2), q + 1, budget)
     pts = _projective_points(field, n + 1)
     index = {pt: i for i, pt in enumerate(pts)}
 
@@ -151,7 +155,7 @@ def pg_lines(n: int, q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
         # the line is point j and point i + lam * point j
         return {j, *(index[_canon_projective(field, x)] for x in _line(field, pts[i], pts[j]))}
 
-    return _steiner_blocks(len(pts), 2, line_through)
+    return _steiner_blocks(len(pts), 2, q + 1, budget, line_through)
 
 
 def ag_lines(n: int, q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
@@ -164,7 +168,6 @@ def ag_lines(n: int, q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
         raise ParamsInvalid(f"affine dimension n={n} must be in [2, 12]")
     field = gf(q)
     _check_ground_set(q ** n)  # before a point is built
-    _check_size(comb(q ** n, 2) // comb(q, 2), q, budget)
     pts = sorted(product(range(q), repeat=n))
     index = {pt: i for i, pt in enumerate(pts)}
 
@@ -173,61 +176,35 @@ def ag_lines(n: int, q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
         direction = tuple(field.sub(x, y) for x, y in zip(other, base))
         return [index[x] for x in _line(field, base, direction)]
 
-    return _steiner_blocks(len(pts), 2, line_through)
-
-
-def _mobius_to_base(field: GF, a: int | None, b: int | None, c: int | None):
-    """Coefficients of the fractional-linear map sending (a, b, c) -> (0, 1, oo).
-
-    None stands for the infinite point.  Returns (alpha, beta, gamma, delta)
-    for z -> (alpha*z + beta) / (gamma*z + delta).
-    """
-    sub, mul = field.sub, field.mul
-    if a is None:
-        return 0, sub(b, c), 1, field.neg[c]
-    if b is None:
-        return 1, field.neg[a], 1, field.neg[c]
-    if c is None:
-        return 1, field.neg[a], 0, sub(b, a)
-    return sub(b, c), field.neg[mul[a][sub(b, c)]], sub(b, a), field.neg[mul[c][sub(b, a)]]
-
-
-def _mobius_apply(field: GF, coeffs, z: int | None) -> int | None:
-    alpha, beta, gamma, delta = coeffs
-    if z is None:
-        return None if gamma == 0 else field.div(alpha, gamma)
-    num = field.add[field.mul[alpha][z]][beta]
-    den = field.add[field.mul[gamma][z]][delta]
-    return None if den == 0 else field.div(num, den)
+    return _steiner_blocks(len(pts), 2, q, budget, line_through)
 
 
 def inversive_plane(q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     """Circle geometry on the projective line over GF(q^2).
 
-    Points are the q^2 field elements plus one infinite point (numbered
-    last); blocks are the images of the order-q subline under all
-    fractional-linear maps, i.e. the circles through each point triple.
+    Points are the q^2 field elements x, with homogeneous coordinates
+    (x, 1), plus the infinite point (1, 0), numbered last.  The circle
+    through a, b, c is the preimage of GF(q) and the infinite point under
+    the map sending a, b, c to 0, 1, oo: z lies on it iff z == c or the
+    cross-ratio det(z,a)*det(b,c) / (det(z,c)*det(b,a)) is in GF(q).
     A 3-design with index 1, width q+1, and q^3 + q blocks.
     """
     field = gf(q * q)
-    _check_size(comb(q * q + 1, 3) // comb(q + 1, 3), q + 1, budget)
     sub_members = set(field.subfield(q))
-    inf_id = field.q
-    v = field.q + 1
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+    coords = [(x, 1) for x in range(field.q)] + [(1, 0)]
 
-    def pt_of(i: int) -> int | None:
-        return None if i == inf_id else i
+    def det(u: tuple[int, int], v: tuple[int, int]) -> int:
+        return add[mul[u[0]][v[1]]][neg[mul[v[0]][u[1]]]]
 
     def circle_through(a: int, b: int, c: int) -> list[int]:
-        coeffs = _mobius_to_base(field, pt_of(a), pt_of(b), pt_of(c))
-        members = []
-        for i in range(v):
-            img = _mobius_apply(field, coeffs, pt_of(i))
-            if img is None or img in sub_members:
-                members.append(i)
-        return members
+        a, b, c = coords[a], coords[b], coords[c]
+        ba, bc = det(b, a), det(b, c)
+        return [i for i, z in enumerate(coords)
+                if not (den := mul[det(z, c)][ba])
+                or mul[mul[det(z, a)][bc]][inv[den]] in sub_members]
 
-    return _steiner_blocks(v, 3, circle_through)
+    return _steiner_blocks(len(coords), 3, q + 1, budget, circle_through)
 
 
 def hermitian_unital(q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
@@ -238,7 +215,6 @@ def hermitian_unital(q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     and q^2 (q^2 - q + 1) blocks.
     """
     field = gf(q * q)
-    _check_size(comb(q ** 3 + 1, 2) // comb(q + 1, 2), q + 1, budget)
     pts = _projective_points(field, 3)
     curve = [pt for pt in pts if not _hermitian_form(field, q, pt)]
     index = {pt: i for i, pt in enumerate(curve)}
@@ -248,7 +224,7 @@ def hermitian_unital(q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
         line = (_canon_projective(field, x) for x in _line(field, curve[i], curve[j]))
         return {j, *(index[pt] for pt in line if pt in index)}
 
-    return _steiner_blocks(len(curve), 2, section_through)
+    return _steiner_blocks(len(curve), 2, q + 1, budget, section_through)
 
 
 def _hermitian_form(field: GF, q: int, vec: tuple[int, ...]) -> int:

@@ -2,10 +2,11 @@
 
 Elements are integers 0..q-1 encoding polynomial coefficient tuples over
 the prime field in base p (coefficient of x^i is digit i), so 0 and 1 are
-the additive and multiplicative identities for every order.  Extension
-fields reduce modulo a fixed irreducible polynomial: the first monic
-irreducible of the right degree in increasing integer encoding, which
-pins down element numbering once and for all.
+the additive and multiplicative identities for every order.  Every field,
+prime or not, reduces modulo a fixed irreducible polynomial: the first
+monic irreducible of its degree in increasing integer encoding, which pins
+down element numbering once and for all.  For a prime field that is x, so
+its tables are the integers mod p.
 
 Supported orders: every prime p <= 97 and the prime powers
 4, 8, 9, 16, 25, 27, 32, 49, 64, 81.
@@ -38,7 +39,7 @@ def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
-    # mod is monic; return a reduced to degree < deg(mod)
+    # mod is monic and len(a) >= deg(mod); return a reduced to degree < deg(mod)
     a = a[:]
     dm = len(mod) - 1
     for i in range(len(a) - 1, dm - 1, -1):
@@ -47,11 +48,7 @@ def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
             a[i] = 0
             for j in range(dm):
                 a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
-    while len(a) > dm:
-        a.pop()
-    while len(a) < dm:
-        a.append(0)
-    return a
+    return a[:dm]
 
 
 def _is_irreducible(poly: list[int], p: int) -> bool:
@@ -94,20 +91,14 @@ class GF:
         self.q = q
         self.p = p
         self.k = k
-        if k == 1:
-            self.modulus: list[int] | None = None
-            self.add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self.mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-            self.neg = [(-a) % p for a in range(p)]
-        else:
-            self.modulus = _find_irreducible(p, k)
-            polys = [_decode(e, p, k) for e in range(q)]
-            self.add = [[self._encode([(x + y) % p for x, y in zip(polys[a], polys[b])])
-                         for b in range(q)] for a in range(q)]
-            self.neg = [self._encode([(-x) % p for x in polys[a]]) for a in range(q)]
-            self.mul = [[self._encode(_poly_mod(_poly_mul(polys[a], polys[b], p),
-                                                self.modulus, p))
-                         for b in range(q)] for a in range(q)]
+        self.modulus = _find_irreducible(p, k)
+        polys = [_decode(e, p, k) for e in range(q)]
+        self.add = [[self._encode([(x + y) % p for x, y in zip(polys[a], polys[b])])
+                     for b in range(q)] for a in range(q)]
+        self.neg = [self._encode([(-x) % p for x in polys[a]]) for a in range(q)]
+        self.mul = [[self._encode(_poly_mod(_poly_mul(polys[a], polys[b], p),
+                                            self.modulus, p))
+                     for b in range(q)] for a in range(q)]
         self.inv = [0] * q
         for a in range(1, q):
             row = self.mul[a]

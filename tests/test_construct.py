@@ -244,9 +244,9 @@ def test_each_block_is_built_once(monkeypatch, family, args, tau):
     calls = []
     build = construct._steiner_blocks
 
-    def counting(n, tau_, block_through):
+    def counting(n, tau_, w, budget, block_through):
         assert tau_ == tau
-        return build(n, tau_, lambda *sub: calls.append(sub) or block_through(*sub))
+        return build(n, tau_, w, budget, lambda *sub: calls.append(sub) or block_through(*sub))
 
     monkeypatch.setattr(construct, "_steiner_blocks", counting)
     s = family(*args)
