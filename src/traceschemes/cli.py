@@ -114,11 +114,15 @@ def _cmd_verify(args) -> int:
         if args.t is None:
             raise SchemeError(f"--t is required for property {prop}")
         if prop == "ts":
-            # auto: certified first, exhaustive fall-through
+            # auto: certified first, exhaustive fall-through on what is left
+            # of the budget; work= counts both
             first = verify_mod.EXHAUSTIVE if args.mode == "exhaustive" else verify_mod.CERTIFIED
             outcome = verify_mod.verify_ts(system, args.t, first, budget)
             if args.mode == "auto" and outcome.inconclusive:
-                outcome = verify_mod.verify_ts(system, args.t, verify_mod.EXHAUSTIVE, budget)
+                spent = outcome.work
+                outcome = verify_mod.verify_ts(system, args.t, verify_mod.EXHAUSTIVE,
+                                               max(0, budget - spent))
+                outcome = outcome._replace(work=spent + outcome.work)
         elif prop == "ipps":
             outcome = verify_mod.verify_ipps(system, args.t, budget)
         elif prop == "ipps-star":

@@ -70,6 +70,24 @@ def test_verify_inconclusive_budget(tmp_path, capsys):
     assert "verdict=inconclusive" in captured.out
 
 
+def test_auto_mode_fall_through_shares_the_budget(tmp_path, capsys):
+    # On the PG(2, 4) lines extended by one point, certified TS at t=2 is
+    # inconclusive after 46 work units and the exhaustive walk then takes
+    # 5,166: the walk gets what is left of --budget, and work= is the sum.
+    base, ext = tmp_path / "pg24.ss", tmp_path / "ext.ss"
+    main(["construct", "--family", "pg-lines", "--n", "2", "--q", "4", "-o", str(base)])
+    main(["construct", "--family", "extend", "--base", str(base), "--d", "1", "--t", "2",
+          "-o", str(ext)])
+    capsys.readouterr()
+    assert main(["verify", "--property", "ts", "--t", "2", "--mode", "certified", str(ext)]) == 3
+    assert "mode=certified verdict=inconclusive work=46\n" in capsys.readouterr().out
+    assert main(["verify", "--property", "ts", "--t", "2", "--budget", "5211", str(ext)]) == 3
+    assert "mode=exhaustive verdict=inconclusive" in capsys.readouterr().out
+    assert main(["verify", "--property", "ts", "--t", "2", "--budget", "5212", str(ext)]) == 0
+    assert capsys.readouterr().out == (
+        "verify property=ts t=2 mode=exhaustive verdict=holds work=5212\n")
+
+
 def test_verify_certified_mode_echoed(tmp_path, capsys):
     out = tmp_path / "greedy.ss"
     main(["construct", "--family", "greedy", "--v", "20", "--w", "4", "--t", "2",
@@ -225,6 +243,14 @@ def test_trace_commands(tmp_path, capsys):
     assert main(["trace", "--kind", "ipps-own-subsets", "--t", "2", str(out)]) == 3
     captured = capsys.readouterr()
     assert "blocked" in captured.out
+
+
+def test_ts_trace_budget_stops_its_cover_search(tmp_path, capsys):
+    # All triples of 6 points violate 2-TS, but budget 0 stops the search
+    # for a block covered by 4 others before its first node.
+    tri6 = _write_triples(tmp_path, 6)
+    assert main(["trace", "--kind", "ts-from-cff", "--t", "2", "--budget", "0", str(tri6)]) == 3
+    assert capsys.readouterr() == ("", "cover search exceeded its budget\n")
 
 
 def test_ipps_trace_precondition_lists_no_subsets(tmp_path, capsys):

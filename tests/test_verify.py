@@ -551,6 +551,8 @@ def test_random_witnesses_survive_render_parse(wit):
     "witness ts-evasion\ncoalition 0 1\npirate\noutsider 4\n",    # empty pirate set
     "witness cff-cover\nstrength 2\ntarget 0\ncover\n",           # empty cover
     "witness ipps-ambiguity\nstrength 2\npirate 0 1\nparent 0\nparent\n",  # empty parent
+    "witness cff-cover\nstrength 2\ntarget 0\ntarget 1\ncover 1 2\n",  # duplicate target
+    "witness ts-evasion\ncoalition 0 1\npirate 0 2 3\noutsider 1 2\n",  # two outsiders
 ])
 def test_witness_parse_rejections(text):
     with pytest.raises(FormatError):
@@ -562,6 +564,41 @@ def test_witness_parse_skips_indented_comments():
     wit = TsEvasion(coalition=(0, 5), pirate=(1, 2, 3, 7, 9), outsider=12)
     text = "  # note\n" + render_witness(wit) + "\t# another note\n"
     assert parse_witness(text) == wit
+
+
+# One malformed witness per refusal, on the 20 triples of 6 points (v=6,
+# w=3): each is caught by the first check it fails.
+@pytest.mark.parametrize("wit,reason", [
+    (CffCover(target=20, cover=(1,), strength=2), "target index out of range"),
+    (CffCover(target=0, cover=(1, 20), strength=2), "cover indices invalid"),
+    (CffCover(target=0, cover=(), strength=2), "cover indices not distinct or empty"),
+    (CffCover(target=0, cover=(1, 1), strength=2), "cover indices not distinct or empty"),
+    (TsEvasion(coalition=(0, 20), pirate=(0, 1, 2), outsider=5), "coalition index out of range"),
+    (TsEvasion(coalition=(), pirate=(0, 1, 2), outsider=5), "coalition empty or repeated"),
+    (TsEvasion(coalition=(0, 0), pirate=(0, 1, 2), outsider=5), "coalition empty or repeated"),
+    (TsEvasion(coalition=(0, 1), pirate=(0, 2, 1), outsider=5),
+     "pirate set must be an ascending w-subset"),
+    (TsEvasion(coalition=(0, 1), pirate=(0, 1, 6), outsider=5), "pirate point out of range"),
+    (IppsAmbiguity(pirate=(0, 2, 1), parents=((0,), (1,)), strength=2),
+     "pirate set must be ascending with at least w points"),
+    (IppsAmbiguity(pirate=(0, 1, 6), parents=((0,), (1,)), strength=2),
+     "pirate point out of range"),
+    (IppsAmbiguity(pirate=(0, 1, 2), parents=(), strength=2), "no parent sets listed"),
+    (IppsAmbiguity(pirate=(0, 1, 2), parents=((0,), ()), strength=2),
+     "parent set empty or repeated"),
+    (IppsAmbiguity(pirate=(0, 1, 2), parents=((0,), (1, 1)), strength=2),
+     "parent set empty or repeated"),
+    (IppsAmbiguity(pirate=(0, 1, 2), parents=((0,), (1, 20)), strength=2),
+     "parent index out of range"),
+    (IppsAmbiguity(pirate=(0, 1, 2), parents=((0,), (1, 2, 3)), strength=2),
+     "parent set larger than strength"),
+    (IppsAmbiguity(pirate=(0, 1, 2), parents=((0,), (19,)), strength=2),
+     "a parent set does not cover the pirate set"),
+    ((0, 1, 2), "unknown witness type tuple"),
+])
+def test_check_witness_refusals(wit, reason):
+    s = new_set_system(6, list(combinations(range(6), 3)))
+    assert check_witness(s, wit) == (False, reason)
 
 
 def test_tampered_witnesses_fail_revalidation():
