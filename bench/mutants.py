@@ -37,12 +37,16 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-e
 MUTANTS = {
     "pairwise-certificate-tau+1": (
         "verify.py",
-        "tau = _ceil_div(s.w - d, t * t)",
-        "tau = _ceil_div(s.w - d, t * t) + 1"),
+        "tau = _ceil_div(s.w - d, k)",
+        "tau = _ceil_div(s.w - d, k) + 1"),
     "pairwise-certificate-unstripped-width": (
         "verify.py",
-        "tau = _ceil_div(s.w - d, t * t)",
-        "tau = _ceil_div(s.w, t * t)"),
+        "tau = _ceil_div(s.w - d, k)",
+        "tau = _ceil_div(s.w, k)"),
+    "cff-certificate-strength-t-1": (
+        "verify.py",
+        "cert = _pairwise_certificate(s, t, work)",
+        "cert = _pairwise_certificate(s, max(1, t - 1), work)"),
     "certificate-core-every-block-unchecked": (
         "verify.py",
         "if any(mask & core != core for mask in s.masks):",

@@ -17,6 +17,9 @@ them (the points a design-extension certificate says were appended), and
 says "inconclusive" otherwise.  IPPS tries that condition first, with the
 points common to all blocks as the core (a t-TS is a t-IPPS), and
 otherwise extends ambiguous point sets depth first, a point at a time.
+CFF tries the same condition with t in place of t^2 (a t-TS is a
+t^2-CFF, and the condition for one is the condition for the other), and
+otherwise searches each block's covers.
 
 Every depth-first search here, over CFF covers, TS coalitions, TS cell
 packings and IPPS point sets, is a loop over an explicit stack, so no input
@@ -350,13 +353,28 @@ def _find_cover(masks, pb: list[list[int]], target_mask: int, limit: int, w: int
 
 
 def verify_cff(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOutcome:
-    """Holds iff no block is contained in the union of at most t others."""
+    """Holds iff no block is contained in the union of at most t others.
+
+    At t = 1 it holds outright, as blocks are distinct and of one width,
+    and so it does with one block.  Otherwise it holds, and no cover is
+    searched, when the blocks less the d points common to all of them share
+    fewer than ceil((w-d)/t) points pairwise (:func:`_pairwise_certificate`,
+    at its cost).  If not, :func:`_find_cover` looks for a cover of each
+    block in turn, and a violation reports the first block covered and its
+    first cover.
+    """
     if t < 1:
         raise ParamsInvalid(f"strength t={t} must be >= 1")
+    if t == 1 or s.m < 2:
+        return VerifyOutcome(HOLDS, EXHAUSTIVE, detail="no block lies in another", work=0)
     work = _Work(budget)
-    pb = _point_blocks(s)
-    limit = min(t, s.m - 1)
     try:
+        cert = _pairwise_certificate(s, t, work)
+        if cert is not None:
+            return VerifyOutcome(HOLDS, EXHAUSTIVE, detail=f"{cert} certify a {t}-CFF",
+                                 work=work.count)
+        pb = _point_blocks(s)
+        limit = min(t, s.m - 1)
         for b0 in range(s.m):
             cover = _find_cover(s.masks, pb, s.masks[b0], limit, s.w, work, b0)
             if cover is not None:
@@ -577,23 +595,32 @@ class _PackedCounts:
         return ((k + 1) * a + (self.half - w) * self.ones - sums) & guards
 
 
-def _pairwise_certificate(s: SetSystem, t: int, core: int, work: _Work) -> int | None:
-    """tau = ceil((w - d)/t^2) if the blocks less ``core`` share < tau points pairwise, else None.
+def _pairwise_certificate(s: SetSystem, k: int, work: _Work, core: int | None = None) -> str | None:
+    """Whether the blocks less ``core`` share < tau = ceil((w - d)/k) points pairwise.
 
-    ``core`` is a mask of d < w points in every block; then s is a t-TS.
-    Every block meets a pirate set T in |T & core| plus its overlap with
-    T - core, so the core cancels from the evasion test, and T - core has
-    at least w - d points.  Some member of a coalition of at most t blocks
-    holds ceil((w - d)/t) or more of them, an outsider at most
-    t (tau - 1) < (w - d)/t.  With d = 0 this is Stinson and Wei's condition.
-    The scan is :func:`_packing_pairs` on the stripped blocks, at its cost.
+    ``core`` is a mask of d < w points in every block, by default all the
+    points common to the blocks (then m >= 2).  Returns the start of a
+    detail that names the certificate, or None.  Every block meets a point
+    set T in |T & core| plus its overlap with T - core, so the core cancels.
+    At k = t^2, s is a t-TS: T - core has at least w - d points for a
+    pirate set T, some member of a coalition of at most t blocks holds
+    ceil((w - d)/t) or more of them, an outsider at most
+    t (tau - 1) < (w - d)/t.  With d = 0 this is Stinson and Wei's
+    condition.  At k = t, s is a t-CFF: a cover of a block B need only
+    cover the w - d points of B - core, and t other blocks reach at most
+    t (tau - 1) < w - d of them.  The scan is :func:`_packing_pairs` on
+    the stripped blocks, at its cost.
     """
+    core = reduce(and_, s.masks) if core is None else core
     d = core.bit_count()
-    tau = _ceil_div(s.w - d, t * t)
+    tau = _ceil_div(s.w - d, k)
     if core:
         s = SetSystem(s.v, s.w - d, tuple(tuple(p for p in b if not core >> p & 1)
                                           for b in s.blocks))
-    return None if any(_packing_pairs(s, tau, work)) else tau
+    if any(_packing_pairs(s, tau, work)):
+        return None
+    where = f" outside {d} common points" if core else ""
+    return f"pairwise intersections{where} below {tau}"
 
 
 def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
@@ -641,11 +668,10 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
                 if any(mask & core != core for mask in s.masks):
                     core, detail = 0, "appended points missing from some block"
         try:
-            tau = _pairwise_certificate(s, t, core, work)
-            if tau is not None:
-                where = f" outside {core.bit_count()} common points" if core else ""
-                detail = f"pairwise intersections{where} below {tau} certify strength {t}"
-                return VerifyOutcome(HOLDS, CERTIFIED, detail=detail, work=work.count)
+            cert = _pairwise_certificate(s, t * t, work, core)
+            if cert is not None:
+                return VerifyOutcome(HOLDS, CERTIFIED, detail=f"{cert} certify strength {t}",
+                                     work=work.count)
         except _BudgetStop:
             detail = BUDGET_EXCEEDED
         return VerifyOutcome(INCONCLUSIVE, CERTIFIED, detail=detail, work=work.count)
@@ -814,12 +840,10 @@ def verify_ipps(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOut
     if s.m < 2:  # one block is a common parent of all it covers
         return VerifyOutcome(HOLDS, EXHAUSTIVE, work=0)
     work = _Work(budget)
-    core = reduce(and_, s.masks)
     try:
-        tau = _pairwise_certificate(s, t, core, work)
-        if tau is not None:
-            where = f" outside {core.bit_count()} common points" if core else ""
-            detail = f"pairwise intersections{where} below {tau} certify a {t}-TS, so a {t}-IPPS"
+        cert = _pairwise_certificate(s, t * t, work)
+        if cert is not None:
+            detail = f"{cert} certify a {t}-TS, so a {t}-IPPS"
             return VerifyOutcome(HOLDS, EXHAUSTIVE, detail=detail, work=work.count)
         levels: list[tuple[list[int], list[int]]] = [([], []) for _ in range(min(t, s.m))]
         for k in range(1, len(levels) + 1):

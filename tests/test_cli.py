@@ -109,6 +109,35 @@ def test_verify_design_and_packing(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_prints_the_detail_of_a_violated_design_or_packing(tmp_path, capsys):
+    # Neither has a witness: the detail follows the verdict line on stdout.
+    path = _write_triples(tmp_path, 6)
+    for prop, work, detail in (("design", 60, "2-subset [0, 1] covered 4 times (expected 1)"),
+                               ("packing", 600, "2-subset [0, 1] covered more than once")):
+        assert main(["verify", "--property", prop, "--tau", "2", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (f"verify property={prop} tau=2 mode=exhaustive "
+                                f"verdict=violated work={work}\n{detail}\n")
+        assert captured.err == f"detail: {detail}\n"
+
+
+def test_verify_ipps_star_and_the_cff_certificate(tmp_path, capsys):
+    out = tmp_path / "fano.ss"
+    main(["construct", "--family", "pg-lines", "--n", "2", "--q", "2", "-o", str(out)])
+    capsys.readouterr()
+    assert main(["verify", "--property", "ipps-star", "--t", "2", str(out)]) == 1
+    assert capsys.readouterr().out == (
+        "verify property=ipps-star t=2 mode=exhaustive verdict=violated work=105\n"
+        "witness ipps-ambiguity\nstrength 2\npirate 0 1 3\n"
+        "parent 0 1\nparent 0 3\nparent 0 5\nparent 1 3\nparent 1 4\nparent 2 3\n")
+    # Lines meet in one point, below ceil(3/2) = 2, so two lines cannot
+    # cover a third; the scan costs 7 lines of 3 points of degree 3.
+    assert main(["verify", "--property", "cff", "--t", "2", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "verify property=cff t=2 mode=exhaustive verdict=holds work=63\n"
+    assert captured.err == "detail: pairwise intersections below 2 certify a 2-CFF\n"
+
+
 def test_verify_rejects_flags_its_property_does_not_use(tmp_path, capsys):
     # Certified mode is for ts only, --lambda for design only, --tau for
     # design and packing only and --t for the other four; each flag elsewhere
@@ -172,6 +201,13 @@ def test_bound_table(capsys):
     lines = captured.out.splitlines()
     assert lines[0].split("\t")[:3] == ["upper-sw", "665/3", "221"]
     assert any(ln.startswith("upper-special\t21\t21\tyes") for ln in lines)
+
+
+def test_bound_summary_names_an_exact_size(capsys):
+    assert main(["bound", "--t", "2", "--w", "3", "--v", "7", "--scheme", "ts"]) == 0
+    captured = capsys.readouterr()
+    assert "exact-small\t5\t5\tyes\tmaximum size known exactly" in captured.out.splitlines()
+    assert captured.err == "bound scheme=ts t=2 w=3 v=7 exact 5\n"
 
 
 def test_bound_rejects_bad_params(capsys):
@@ -572,7 +608,9 @@ def test_deep_searches_end_without_internal_error(tmp_path, capsys):
     # Block 0 is {0..1049}; block i is {i - 1} plus the 1,049 points from
     # 1050 on.  Covering block 0 takes all 1,050 others, one block per level
     # of the cover search; the trace at t = 33 asks for covers of up to
-    # t^2 = 1,089 blocks.
+    # t^2 = 1,089 blocks.  First the pairwise certificate fails: at t = 1050
+    # at block 0, for 2,100 work (1,050 points of degree 2); at t = 1049
+    # block 0 passes and block 1 costs 2 + 1,049 * 1,050.
     deep = new_set_system(2099, [range(1050)] + [[i, *range(1050, 2099)] for i in range(1050)])
     path = tmp_path / "deep.ss"
     path.write_text(render_set_system(deep), encoding="utf-8")
@@ -585,7 +623,7 @@ def test_deep_searches_end_without_internal_error(tmp_path, capsys):
 
     out = run(["verify", "--property", "cff", "--t", "1050", str(path)], 1)
     first, rest = out.split("\n", 1)
-    assert first == "verify property=cff t=1050 mode=exhaustive verdict=violated work=1051"
+    assert first == "verify property=cff t=1050 mode=exhaustive verdict=violated work=3151"
     assert rest == ("witness cff-cover\nstrength 1050\ntarget 0\ncover "
                     + " ".join(map(str, range(1, 1051))) + "\n")
     wit = tmp_path / "deep.wit"
@@ -593,7 +631,7 @@ def test_deep_searches_end_without_internal_error(tmp_path, capsys):
     assert main(["check-witness", str(path), str(wit)]) == 0
     assert capsys.readouterr().out == "witness valid: cover verified\n"
     out = run(["verify", "--property", "cff", "--t", "1049", str(path)], 1)
-    assert out == ("verify property=cff t=1049 mode=exhaustive verdict=violated work=1053\n"
+    assert out == ("verify property=cff t=1049 mode=exhaustive verdict=violated work=1104605\n"
                    "witness cff-cover\nstrength 1049\ntarget 1\ncover 0 2\n")
     out = run(["trace", "--kind", "ts-from-cff", "--t", "33", str(path)], 3)
     assert out.startswith("trace ts-from-cff blocked\nstep private-points\n")

@@ -45,6 +45,8 @@ def test_duplicate_block_rejected():
 def test_non_uniform_rejected():
     with pytest.raises(NonUniformBlocks):
         new_set_system(4, [[0, 1], [1, 2, 3]])
+    with pytest.raises(NonUniformBlocks):
+        new_set_system(4, [[], []])
 
 
 def test_point_out_of_range_rejected():
@@ -52,6 +54,8 @@ def test_point_out_of_range_rejected():
         new_set_system(3, [[0, 1, 3]])
     with pytest.raises(PointOutOfRange):
         new_set_system(3, [[-1, 0, 1]])
+    with pytest.raises(PointOutOfRange):
+        new_set_system(3, [[0, 1.0, 2]])
 
 
 def test_non_ascending_rejected():

@@ -113,6 +113,8 @@ def test_pow_and_div():
         assert field.div(a, a) == 1
         assert field.pow(a, -1) == field.inv[a]
     assert field.pow(0, 5) == 0
+    with pytest.raises(ZeroDivisionError):
+        field.div(1, 0)
 
 
 def test_subfields():
@@ -122,6 +124,9 @@ def test_subfields():
     assert len(gf(81).subfield(9)) == 9
     with pytest.raises(UnsupportedFieldOrder):
         gf(16).subfield(8)
+    for order in (1, 3):  # below 2, and not dividing 16
+        with pytest.raises(UnsupportedFieldOrder):
+            gf(16).subfield(order)
 
 
 def test_modulus_is_irreducible_and_monic():
