@@ -91,6 +91,10 @@ MUTANTS = {
         "oracle.py",
         "if _ts_evader(masks, coal, [new], w, work) is not None:",
         "if False:"),
+    "ts-trace-stop-one-early": (
+        "oracle.py",
+        "if not rest:",
+        "if rest.bit_count() <= 1:"),
     "ipps-pretest-strength-t+1": (
         "oracle.py",
         "if not _cff_extension_ok(masks, pb, w, t, work):",

@@ -241,12 +241,13 @@ def ts_violation_from_cff_failure(s: SetSystem, t: int,
                                   cff_witness: CffCover) -> ProofTraceTs | TraceBlocked:
     """Build a traceability evasion from a block covered by <= t*t others.
 
-    Replays the pigeonhole selection: t blocks in turn, each the first
+    Replays the pigeonhole selection: blocks in turn, each the first
     remaining cover block of maximum overlap with the part of the covered
-    block still uncovered, then a pirate set made of all chosen overlaps
-    padded with private points.  Completed traces always satisfy the
-    averaging inequality (t+1) * sum(sigma_2..sigma_t) >= w - ceil(w/t^2)
-    - sigma_1 and re-validate as evasions.
+    block B_0 still uncovered, until t are chosen or they cover B_0.  The
+    pirate set is all chosen overlaps padded with private points; when the
+    chosen blocks cover B_0 it is B_0 itself.  Completed traces satisfy the
+    averaging inequality (t+1) * sum(sigma_2..) >= w - ceil(w/t^2) - sigma_1
+    and re-validate as evasions; only the padding can block.
     """
     if t < 2:
         raise ParamsInvalid(f"strength t={t} must be >= 2")
@@ -261,23 +262,19 @@ def ts_violation_from_cff_failure(s: SetSystem, t: int,
     b0m = s.masks[b0]
     cover = list(cff_witness.cover)
 
-    # At i = 1 nothing is covered and the re-validated cover meets B_0, so
-    # only later steps can block.
+    # While part of B_0 is uncovered, some remaining cover block meets it,
+    # so every chosen gain is positive.  B_0 differs from every other
+    # block, so at least two blocks are chosen.
     selected: list[int] = []
     sigmas: list[int] = []
     covered = 0
-    for i in range(1, t + 1):
+    for _ in range(t):
         rest = b0m & ~covered
+        if not rest:
+            break
         remaining = [c for c in cover if c not in selected]
-        if not remaining:
-            return TraceBlocked(step=f"select-B{i}",
-                                detail="cover exhausted before t blocks were chosen")
         gains = [(s.masks[c] & rest).bit_count() for c in remaining]
         gain = max(gains)
-        if gain == 0:
-            return TraceBlocked(step=f"sigma-{i}",
-                                detail="no remaining cover block meets the uncovered part "
-                                       "(target is covered by fewer than t blocks)")
         bi = remaining[gains.index(gain)]
         selected.append(bi)
         sigmas.append(gain)
@@ -332,9 +329,10 @@ def ipps_violation_from_missing_own_subsets(s: SetSystem, t: int, budget: int = 
     Requires every block to lack ceil(w / (floor(t^2/4) + t))-own-subsets;
     then walks the selection loop (overlap chunks A_i covered by few other
     blocks, linking sets D_i leading to fresh blocks) and assembles a
-    pirate set whose parent sets have empty intersection.  ``budget`` caps
-    the nodes of its cover searches together; a search it stops blocks the
-    trace at that search's step.
+    pirate set whose parent sets have empty intersection.  The precondition
+    makes every cover and fresh block exist, so the trace blocks only where
+    points run short, at a D_i-choice, or where ``budget``, which caps the
+    nodes of its cover searches together, stops a search.
     """
     if t < 2:
         raise ParamsInvalid(f"strength t={t} must be >= 2")
@@ -371,9 +369,9 @@ def ipps_violation_from_missing_own_subsets(s: SetSystem, t: int, budget: int = 
             cov = _find_cover(s.masks, pb, am, hu, w, work, bi)
         except _BudgetStop:
             return TraceBlocked(step=f"C{i}-cover", detail=over_budget)
-        if cov is None:
-            return TraceBlocked(step=f"C{i}-cover",
-                                detail=f"overlap chunk of block {bi} has no small cover")
+        # Each of A_i's hu chunks of k points is no own-subset of B_i, so it
+        # lies in a block other than B_i: hu such blocks cover A_i.
+        assert cov is not None, "A_i has a cover of hu blocks other than B_i"
         pool2 = pool[size_a:]
         if len(pool2) < k:
             return TraceBlocked(step=f"D{i}-size",
@@ -389,11 +387,9 @@ def ipps_violation_from_missing_own_subsets(s: SetSystem, t: int, budget: int = 
                                        "previously selected blocks")
         d_i = tuple(pool2[:k]) if out <= pool2[k - 1] else (*pool2[:k - 1], out)
         dm = _mask(d_i)
-        nxt = next((b for b in range(s.m)
-                    if b not in selected and s.masks[b] & dm == dm), None)
-        if nxt is None:
-            return TraceBlocked(step=f"B{i + 1}-find",
-                                detail="no fresh block contains the linking set")
+        # D_i is no own-subset of B_i, so it lies in another block, and its
+        # point outside B_1..B_(i-1) keeps that block from being selected.
+        nxt = next(b for b in range(s.m) if b not in selected and s.masks[b] & dm == dm)
         selected.append(nxt)
         a_sets.append(a_i)
         d_sets.append(d_i)
@@ -405,10 +401,8 @@ def ipps_violation_from_missing_own_subsets(s: SetSystem, t: int, budget: int = 
     if size_last < 0:
         return TraceBlocked(step="final-size", detail="final chunk size is negative")
     pool = _points(s.masks[b_last] & ~used)
-    if len(pool) < size_last:
-        return TraceBlocked(step=f"A{hd + 1}-size",
-                            detail=f"only {len(pool)} points free in block {b_last}, "
-                                   f"need {size_last}")
+    # The A_j and D_j are disjoint, so size_last = w - |used| <= |B_last - used|.
+    assert len(pool) >= size_last, "the final chunk fits in the last block"
     a_last = tuple(pool[:size_last])
     am = _mask(a_last)
     cov_last: tuple[int, ...] | None = ()
@@ -417,9 +411,10 @@ def ipps_violation_from_missing_own_subsets(s: SetSystem, t: int, budget: int = 
             cov_last = _find_cover(s.masks, pb, am, hu, w, work, b_last)
         except _BudgetStop:
             return TraceBlocked(step=f"C{hd + 1}-cover", detail=over_budget)
-        if cov_last is None:
-            return TraceBlocked(step=f"C{hd + 1}-cover",
-                                detail="final chunk has no small cover")
+        # w <= k * (hu * hd + t) gives size_last <= k * hu, so A_last splits
+        # into hu chunks of at most k points, each inside a k-subset of
+        # B_last and so inside a block other than B_last.
+        assert cov_last is not None, "A_last has a cover of hu blocks other than B_last"
         cov_last = tuple(sorted(cov_last))
     a_sets.append(a_last)
     c_covers.append(cov_last)

@@ -313,6 +313,9 @@ def _find_cover(masks, pb: list[list[int]], target_mask: int, limit: int, w: int
     ascending order.  The search branches on the lowest uncovered point, so
     the cover found depends only on the system, not on the caller.
     """
+    # Blocks are nonempty, and the callers that pass a residual or a chunk
+    # settle an empty one themselves.
+    assert target_mask, "the target of a cover search is nonempty"
     nodes = 1  # one per selection tried, the empty one included
     room = work.budget - work.count
     try:
@@ -320,8 +323,6 @@ def _find_cover(masks, pb: list[list[int]], target_mask: int, limit: int, w: int
             raise _BudgetStop
         if target_mask.bit_count() > limit * w:
             return None
-        if not target_mask:
-            return ()
         chosen: list[int] = []
         # stack[k]: the points the first k blocks of chosen leave uncovered,
         # and the untried blocks through the lowest of them.  A selection that

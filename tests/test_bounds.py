@@ -132,6 +132,9 @@ def test_cff_upper_special():
     assert b.applicable and b.value == 1650
     b = cff_upper_special(2, 4, 5)  # d=1 but ground set below threshold
     assert not b.applicable
+    for r, w, v in ((0, 3, 5), (2, 0, 5), (2, 6, 5)):
+        with pytest.raises(ParamsInvalid):
+            cff_upper_special(r, w, v)
 
 
 def test_own_subset_min_count():

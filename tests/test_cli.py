@@ -289,6 +289,22 @@ def test_ts_trace_budget_stops_its_cover_search(tmp_path, capsys):
     assert capsys.readouterr() == ("", "cover search exceeded its budget\n")
 
 
+def test_ts_trace_stops_once_the_target_is_covered(tmp_path, capsys):
+    # Blocks 1 and 2 cover block 0, so at t = 3 the selection stops after two
+    # blocks and block 0 itself is the pirate set.
+    path = tmp_path / "three.ss"
+    path.write_text(render_set_system(new_set_system(5, [(0, 1, 2, 3), (0, 1, 2, 4),
+                                                          (1, 2, 3, 4)])), encoding="utf-8")
+    assert main(["trace", "--kind", "ts-from-cff", "--t", "3", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "trace ts-from-cff\n"
+        "1 target block 0 covered by: 1 2\n"
+        "2 B_1 = block 1, sigma_1 = 2\n"
+        "3 B_2 = block 2, sigma_2 = 1\n"
+        "4 pirate set F = 0 1 2 3\n"
+        "5 evasion: coalition 1 2, outsider 0\n")
+
+
 def test_ipps_trace_precondition_lists_no_subsets(tmp_path, capsys):
     # No 6-subset of a 16-subset of 18 points is its own: the other blocks
     # missing one of its points leave 16 single points to hit.  Listing the

@@ -149,6 +149,14 @@ def test_extend_design_congruence_violations():
         extend_design(ag_lines(2, 3), 1, 2)  # width 3+1 != d+1 (mod 4)
 
 
+def test_pg_lines_and_extend_design_refuse_out_of_range_parameters():
+    for n in (1, 13):
+        with pytest.raises(ParamsInvalid, match=f"n={n} must be in"):
+            pg_lines(n, 2)
+    with pytest.raises(ParamsInvalid, match="t=1 must be >= 2"):
+        extend_design(pg_lines(2, 2), 0, 1)
+
+
 def test_extend_design_requires_design():
     base = trivial_ts(12, 5)  # width 5 == 1 (mod 4) but not a 2-design
     with pytest.raises(NotADesign):

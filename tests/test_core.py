@@ -68,6 +68,9 @@ def test_non_ascending_rejected():
 def test_ground_set_cap():
     with pytest.raises(ParamsInvalid):
         new_set_system(5000, [[0, 1]])
+    for v in (-1, 5.0, "5"):
+        with pytest.raises(ParamsInvalid, match="nonnegative integer"):
+            new_set_system(v, [])
 
 
 def test_scheme_params_validation():

@@ -10,6 +10,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from traceschemes import (
     CffCover,
@@ -181,6 +183,44 @@ def test_ts_trace_oversized_cover_rejected():
         ts_violation_from_cff_failure(s, 2, CffCover(target=0, cover=cover, strength=6))
 
 
+def test_traces_reject_strength_below_two():
+    s = _triples(6)
+    with pytest.raises(ParamsInvalid):
+        ts_violation_from_cff_failure(s, 1, verify_cff(s, 4).witness)
+    with pytest.raises(ParamsInvalid):
+        ipps_violation_from_missing_own_subsets(s, 1)
+
+
+@st.composite
+def cover_cases(draw):
+    """Dense families on at most ten points, so that covers are common."""
+    v = draw(st.integers(4, 10))
+    w = draw(st.integers(2, min(5, v - 1)))
+    pool = list(combinations(range(v), w))
+    blocks = draw(st.lists(st.sampled_from(pool), min_size=3, max_size=min(16, len(pool)),
+                           unique=True))
+    return new_set_system(v, blocks)
+
+
+@given(cover_cases(), st.sampled_from((3, 4)))
+def test_ts_trace_blocks_only_when_private_points_run_short(s, t):
+    cff = verify_cff(s, t * t)
+    if not cff.violated:
+        return
+    trace = ts_violation_from_cff_failure(s, t, cff.witness)
+    if isinstance(trace, TraceBlocked):
+        assert trace.step == "private-points"
+        return
+    # B_0 differs from every other block, so two blocks are always chosen;
+    # fewer than t means they cover B_0, which is then the pirate set.
+    assert 2 <= len(trace.selected) <= t
+    assert trace.evasion.coalition == tuple(sorted(trace.selected))
+    assert trace.evasion.outsider == trace.b0_index == cff.witness.target
+    assert check_witness(s, trace.evasion) == (True, "evasion verified")
+    if len(trace.selected) < t:
+        assert trace.pirate_set == s.blocks[trace.b0_index]
+
+
 def _ts_trace_systems():
     # every w-subset of v points, then seeded random families of w-subsets
     for v in range(4, 10):
@@ -206,8 +246,8 @@ def test_ts_trace_output_is_pinned():
                 trace = ts_violation_from_cff_failure(s, t, cff.witness)
                 steps[getattr(trace, "step", "done")] += 1
                 h.update(render_trace_ts(trace).encode())
-    assert steps == {"done": 421, "select-B3": 315, "sigma-3": 31, "private-points": 5}
-    assert h.hexdigest() == "d2edac7133dd83f44da4b31cc134d91b8cca3122e5964019910341a63b88ee73"
+    assert steps == {"done": 767, "private-points": 5}
+    assert h.hexdigest() == "11e2fc6de3c22dc39574fb9d82216461885c80f25fdfa08330429dc82bb7c144"
 
 
 # --- missing own-subsets -> ambiguity trace ----------------------------------
@@ -240,6 +280,20 @@ def test_ipps_trace_precondition_stops_at_the_first_own_subset():
     trace, peak = _peak_bytes(lambda: ipps_violation_from_missing_own_subsets(s, 2))
     assert trace == TraceBlocked(step="precondition", detail="block 0 has a 8-own-subset")
     assert peak < 2_000_000
+
+
+def test_ipps_trace_on_a_system_without_blocks():
+    assert ipps_violation_from_missing_own_subsets(new_set_system(4, [], width=2), 2) == (
+        TraceBlocked(step="precondition", detail="system has no blocks"))
+
+
+def test_ipps_trace_budget_can_stop_only_the_final_cover_search():
+    # On all triples of five points at t = 2, the searches for C_1 and C_2
+    # take two nodes each: a budget of 2 pays for the first only.
+    s = _triples(5)
+    assert ipps_violation_from_missing_own_subsets(s, 2, 2) == TraceBlocked(
+        step="C2-cover", detail="cover search exceeded its budget of 2 work units")
+    assert isinstance(ipps_violation_from_missing_own_subsets(s, 2, 4), ProofTraceIpps)
 
 
 def _ipps_trace_systems():

@@ -51,6 +51,7 @@ from traceschemes.oracle import _ipps_extension_ok
 from traceschemes.verify import (
     _at_least,
     _BudgetStop,
+    _find_cover,
     _ipps_ambiguity,
     _ipps_pop,
     _ipps_push,
@@ -58,6 +59,7 @@ from traceschemes.verify import (
     _least,
     _overlaps,
     _PackedCounts,
+    _point_blocks,
     _point_columns,
     _ts_evader,
     _ts_packs,
@@ -349,6 +351,8 @@ def test_ts_certified_modes():
     assert out.inconclusive
     with pytest.raises(ParamsInvalid):
         verify_ts(g, 2, mode="sideways")
+    assert verify_ts(new_set_system(5, [(0, 1, 2)]), 2, mode="certified") == VerifyOutcome(
+        "holds", "certified", detail="at most one block", work=0)
 
 
 def test_certified_holds_implies_exhaustive_holds():
@@ -520,6 +524,16 @@ def test_budget_exhaustion_is_inconclusive():
         assert out.inconclusive and out.detail == "BudgetExceeded"
 
 
+def test_cover_search_budget_stops_inside_the_walk():
+    # Blocks 1 and 4 cover block 0 of the triples of six points, found at
+    # the third node; a budget of 2 pays for the first two only.
+    s = new_set_system(6, list(combinations(range(6), 3)))
+    pb = _point_blocks(s)
+    assert _find_cover(s.masks, pb, s.masks[0], 2, s.w, _Work(3), 0) == (1, 4)
+    with pytest.raises(_BudgetStop):
+        _find_cover(s.masks, pb, s.masks[0], 2, s.w, _Work(2), 0)
+
+
 def test_outcomes_are_deterministic():
     s = new_set_system(6, list(combinations(range(6), 3)))
     assert verify_ts(s, 2) == verify_ts(s, 2)
@@ -570,6 +584,11 @@ def test_random_witnesses_survive_render_parse(wit):
 def test_witness_parse_rejections(text):
     with pytest.raises(FormatError):
         parse_witness(text)
+
+
+def test_render_witness_refuses_an_unknown_type():
+    with pytest.raises(FormatError, match="cannot render tuple"):
+        render_witness((0, 1))
 
 
 def test_witness_parse_skips_indented_comments():
