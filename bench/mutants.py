@@ -95,6 +95,10 @@ MUTANTS = {
         "oracle.py",
         "if not rest:",
         "if rest.bit_count() <= 1:"),
+    "ts-trace-padding-by-point": (
+        "oracle.py",
+        "key=lambda pt: (len(owners[pt]), pt)",
+        "key=lambda pt: pt"),
     "ipps-pretest-strength-t+1": (
         "oracle.py",
         "if not _cff_extension_ok(masks, pb, w, t, work):",

@@ -8,11 +8,13 @@ last), so repeated runs produce byte-identical files.
 
 The four tau-(v, w, 1) designs (projective and affine lines, the Hermitian
 unital, the inversive plane) each supply only the block through a given
-pair or triple of points; :func:`_steiner_blocks` refuses a design whose
-C(v, tau)/C(w, tau) blocks exceed the budget, then walks the tau-subsets
-and builds each block once, from the first tau-subset it contains.  The
-inversive plane reads its circles off the cross-ratio on homogeneous
-coordinates, so the infinite point needs no case of its own.
+pair or triple of points.  Each design sizes its ground set and its
+C(v, tau)/C(w, tau) blocks from its parameters alone, and refuses them
+(:func:`_check_design`) before a point is built; :func:`_steiner_blocks`
+then walks the tau-subsets and builds each block once, from the first
+tau-subset it contains.  The inversive plane reads its circles off the
+cross-ratio on homogeneous coordinates, so the infinite point needs no
+case of its own.
 """
 
 from __future__ import annotations
@@ -89,18 +91,24 @@ def trivial_ts(v: int, w: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
 # finite-geometry designs
 
 
-def _steiner_blocks(n: int, tau: int, w: int, budget: int, block_through) -> SetSystem:
+def _check_design(n: int, tau: int, w: int, budget: int) -> None:
+    """Refuse a tau-(n, w, 1) design whose n points exceed the ground-set
+    cap or whose C(n, tau)/C(w, tau) blocks of w points exceed ``budget``."""
+    _check_ground_set(n)
+    _check_size(comb(n, tau) // comb(w, tau), w, budget)
+
+
+def _steiner_blocks(n: int, tau: int, block_through) -> SetSystem:
     """The tau-(n, w, 1) design whose block through each tau-subset S of
     range(n) is block_through(*S), each block built once.
 
-    Its C(n, tau)/C(w, tau) blocks are paid for before the first is built.
-    The tau-subsets are walked in lexicographic order, and block_through is
+    The caller has paid for its blocks with :func:`_check_design`.  The
+    tau-subsets are walked in lexicographic order, and block_through is
     called only for those that no block built so far contains.
     covered[P] is the mask of the points that extend the (tau-1)-subset P to
     a tau-subset of some built block; it is read only for points above P's
     last, so a block marks only its (tau-1)-subsets that miss its last point.
     """
-    _check_size(comb(n, tau) // comb(w, tau), w, budget)
     covered: dict[tuple[int, ...], int] = {}
     blocks = []
     for prefix in combinations(range(n), tau - 1):
@@ -116,11 +124,14 @@ def _steiner_blocks(n: int, tau: int, w: int, budget: int, block_through) -> Set
 
 
 def _canon_projective(field: GF, vec: tuple[int, ...]) -> tuple[int, ...]:
-    for c in vec:
-        if c:
-            inv = field.inv[c]
-            return tuple(field.mul[inv][x] for x in vec)
-    raise ValueError("zero vector has no projective representative")
+    # vec is a + lam * b for distinct projective points a and b, which are
+    # linearly independent, so it is never the zero vector.
+    for lead in vec:
+        if lead:
+            break
+    assert lead, "a + lam * b != 0 for distinct projective points a, b"
+    inv = field.inv[lead]
+    return tuple(field.mul[inv][x] for x in vec)
 
 
 def _projective_points(field: GF, dim: int) -> list[tuple[int, ...]]:
@@ -147,7 +158,7 @@ def pg_lines(n: int, q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
         raise ParamsInvalid(f"projective dimension n={n} must be in [2, 12]")
     field = gf(q)
     v = (q ** (n + 1) - 1) // (q - 1)
-    _check_ground_set(v)  # before a point is built
+    _check_design(v, 2, q + 1, budget)  # before a point is built
     pts = _projective_points(field, n + 1)
     index = {pt: i for i, pt in enumerate(pts)}
 
@@ -155,7 +166,7 @@ def pg_lines(n: int, q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
         # the line is point j and point i + lam * point j
         return {j, *(index[_canon_projective(field, x)] for x in _line(field, pts[i], pts[j]))}
 
-    return _steiner_blocks(len(pts), 2, q + 1, budget, line_through)
+    return _steiner_blocks(len(pts), 2, line_through)
 
 
 def ag_lines(n: int, q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
@@ -167,7 +178,7 @@ def ag_lines(n: int, q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     if not 2 <= n <= 12:  # every q is >= 2, so from n = 13 on no space fits the cap
         raise ParamsInvalid(f"affine dimension n={n} must be in [2, 12]")
     field = gf(q)
-    _check_ground_set(q ** n)  # before a point is built
+    _check_design(q ** n, 2, q, budget)  # before a point is built
     pts = sorted(product(range(q), repeat=n))
     index = {pt: i for i, pt in enumerate(pts)}
 
@@ -176,7 +187,7 @@ def ag_lines(n: int, q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
         direction = tuple(field.sub(x, y) for x, y in zip(other, base))
         return [index[x] for x in _line(field, base, direction)]
 
-    return _steiner_blocks(len(pts), 2, q, budget, line_through)
+    return _steiner_blocks(len(pts), 2, line_through)
 
 
 def inversive_plane(q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
@@ -190,6 +201,7 @@ def inversive_plane(q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     A 3-design with index 1, width q+1, and q^3 + q blocks.
     """
     field = gf(q * q)
+    _check_design(q * q + 1, 3, q + 1, budget)  # before a point is built
     sub_members = set(field.subfield(q))
     add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
     coords = [(x, 1) for x in range(field.q)] + [(1, 0)]
@@ -204,7 +216,7 @@ def inversive_plane(q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
                 if not (den := mul[det(z, c)][ba])
                 or mul[mul[det(z, a)][bc]][inv[den]] in sub_members]
 
-    return _steiner_blocks(len(coords), 3, q + 1, budget, circle_through)
+    return _steiner_blocks(len(coords), 3, circle_through)
 
 
 def hermitian_unital(q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
@@ -215,6 +227,7 @@ def hermitian_unital(q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     and q^2 (q^2 - q + 1) blocks.
     """
     field = gf(q * q)
+    _check_design(q ** 3 + 1, 2, q + 1, budget)  # before PG(2, q^2) is walked
     pts = _projective_points(field, 3)
     curve = [pt for pt in pts if not _hermitian_form(field, q, pt)]
     index = {pt: i for i, pt in enumerate(curve)}
@@ -224,7 +237,7 @@ def hermitian_unital(q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
         line = (_canon_projective(field, x) for x in _line(field, curve[i], curve[j]))
         return {j, *(index[pt] for pt in line if pt in index)}
 
-    return _steiner_blocks(len(curve), 2, q + 1, budget, section_through)
+    return _steiner_blocks(len(curve), 2, section_through)
 
 
 def _hermitian_form(field: GF, q: int, vec: tuple[int, ...]) -> int:

@@ -244,10 +244,21 @@ def ts_violation_from_cff_failure(s: SetSystem, t: int,
     Replays the pigeonhole selection: blocks in turn, each the first
     remaining cover block of maximum overlap with the part of the covered
     block B_0 still uncovered, until t are chosen or they cover B_0.  The
-    pirate set is all chosen overlaps padded with private points; when the
-    chosen blocks cover B_0 it is B_0 itself.  Completed traces satisfy the
-    averaging inequality (t+1) * sum(sigma_2..) >= w - ceil(w/t^2) - sigma_1
-    and re-validate as evasions; only the padding can block.
+    chosen overlaps form the core, and they satisfy the averaging inequality
+    (t+1) * spread >= w - ceil(w/t^2) - sigma_1, spread = sum(sigma_2..).
+    The pirate set is the core padded with points of the chosen blocks
+    outside B_0, taken in ascending order of (number of chosen blocks
+    through the point, point), each while every chosen block through it has
+    gained fewer than spread of them; when the chosen blocks cover B_0 the
+    pirate set is B_0 itself.
+
+    The caps keep B_0 ahead.  |core & B_1| + spread = |core|, and a later
+    B_j meets the core in at most |B_j & B_0| <= |B_1 & B_0| = |core & B_1|
+    points, as B_1 was chosen for its overlap with all of B_0.  So each
+    chosen block may gain spread pirate points outside B_0, each in one
+    chosen block or several, and still meet the pirate set in no more
+    points than B_0 does.  Only the padding can block, when fewer than
+    w - |core| points fit the caps; completed traces re-validate as evasions.
     """
     if t < 2:
         raise ParamsInvalid(f"strength t={t} must be >= 2")
@@ -286,32 +297,24 @@ def ts_violation_from_cff_failure(s: SetSystem, t: int,
 
     core = _points(covered)
     need = w - len(core)
-    sel_masks = [s.masks[i] for i in selected]
-    shared = seen = 0  # shared: the points in two or more selected blocks
-    for b in sel_masks:
-        shared |= seen & b
-        seen |= b
-    pool: list[tuple[int, int]] = []  # (point, owner position)
-    for pos, mm in enumerate(sel_masks):
-        pool.extend((pt, pos) for pt in _points(mm & ~b0m & ~shared))
-    pool.sort()
+    # owners[pt]: the positions of the chosen blocks through pt
+    owners = {pt: [pos for pos, i in enumerate(selected) if s.masks[i] >> pt & 1]
+              for pt in _points(s.union_mask(selected) & ~b0m)}
     picks: list[int] = []
     used = [0] * len(selected)
-    for pt, pos in pool:
+    for pt in sorted(owners, key=lambda pt: (len(owners[pt]), pt)):
         if len(picks) >= need:
             break
-        if used[pos] < spread:
-            used[pos] += 1
+        if all(used[pos] < spread for pos in owners[pt]):
+            for pos in owners[pt]:
+                used[pos] += 1
             picks.append(pt)
     if len(picks) < need:
-        return TraceBlocked(step="private-points",
-                            detail=f"only {len(picks)} private points available, need {need}")
+        return TraceBlocked(step="padding",
+                            detail=f"only {len(picks)} points fit the caps, need {need}")
     pirate = tuple(sorted(core + picks))
     evasion = TsEvasion(coalition=tuple(sorted(selected)), pirate=pirate, outsider=b0)
-    assert len(pirate) == w
-    pm = _mask(pirate)
-    assert (pm & b0m).bit_count() == tau0 + sum(sigmas)
-    assert all((pm & mm).bit_count() <= (pm & b0m).bit_count() for mm in sel_masks)
+    assert (_mask(pirate) & b0m).bit_count() == tau0 + sum(sigmas)
     ok, why = check_witness(s, evasion)
     assert ok, f"constructed evasion failed re-validation: {why}"
     return ProofTraceTs(b0_index=b0, cover_indices=tuple(cover), selected=tuple(selected),
@@ -425,9 +428,7 @@ def ipps_violation_from_missing_own_subsets(s: SetSystem, t: int, budget: int = 
     parents: list[tuple[int, ...]] = [tuple(sorted(selected))]
     for i in range(hd + 1):
         others = [selected[j] for j in range(hd + 1) if j != i]
-        parent = tuple(sorted(set(c_covers[i]) | set(others)))
-        assert len(parent) <= t
-        parents.append(parent)
+        parents.append(tuple(sorted(set(c_covers[i]) | set(others))))
     dedup = tuple(sorted(set(parents)))
     ambiguity = IppsAmbiguity(pirate=pirate, parents=dedup, strength=t)
     ok, why = check_witness(s, ambiguity)
@@ -457,21 +458,12 @@ def check_configuration(parts, t: int) -> ConfigCheck:
         raise ParamsInvalid("need at least one nonempty part")
     if any(len(p) > t for p in sets):
         raise ParamsInvalid(f"a part exceeds the coalition size cap {t}")
-    inter = set(sets[0])
-    for p in sets[1:]:
-        inter &= p
-    if inter:
+    if frozenset.intersection(*sets):
         return ConfigCheck(kind="not-configuration")
-    for i in range(len(sets)):
-        rest = [p for j, p in enumerate(sets) if j != i]
-        sub = set(rest[0]) if rest else set()
-        for p in rest[1:]:
-            sub &= p
-        if rest and not sub:
-            return ConfigCheck(kind="non-minimal")
-    union = set()
-    for p in sets:
-        union |= p
+    # Two or more parts from here on: a single nonempty part meets itself.
+    if any(not frozenset.intersection(*sets[:i], *sets[i + 1:]) for i in range(len(sets))):
+        return ConfigCheck(kind="non-minimal")
+    union = frozenset().union(*sets)
     cap = minimal_config_size_bound(t)
     if len(union) > cap:
         raise MinimalConfigTooLarge(

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from traceschemes import (
+    InconsistentBounds,
     ParamsInvalid,
     SchemeParams,
     binom,
@@ -185,6 +186,16 @@ def test_bound_report_consistency_never_fires_on_grid():
             for v in range(w, w + 40, 7):
                 for scheme in ("ts", "ipps", "cff"):
                     bound_report(SchemeParams(t, w, v), scheme)
+
+
+def test_bound_report_refuses_a_lower_bound_above_an_upper(monkeypatch):
+    # No formula does this (the test above); a Stinson-Wei bound forced to 0
+    # lies below the packing lower bound of 7.
+    monkeypatch.setattr("traceschemes.bounds.ts_upper_sw",
+                        lambda p: ts_upper_sw(p)._replace(integer_bound=0))
+    with pytest.raises(InconsistentBounds) as err:
+        bound_report(SchemeParams(2, 3, 9), "ts")
+    assert str(err.value) == "lower 7 exceeds upper 0 for ts SchemeParams(t=2, w=3, v=9)"
 
 
 def test_all_values_are_exact_rationals():

@@ -3,14 +3,17 @@
 import contextlib
 import io
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from itertools import combinations
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,6 +21,7 @@ from traceschemes import (
     new_set_system,
     parse_set_system,
     render_set_system,
+    ts_upper_sw,
     verify_cff,
     verify_ts,
 )
@@ -302,6 +306,24 @@ def test_ts_trace_stops_once_the_target_is_covered(tmp_path, capsys):
         "2 B_1 = block 1, sigma_1 = 2\n"
         "3 B_2 = block 2, sigma_2 = 1\n"
         "4 pirate set F = 0 1 2 3\n"
+        "5 evasion: coalition 1 2, outsider 0\n")
+
+
+def test_ts_trace_pads_with_points_shared_by_chosen_blocks(tmp_path, capsys):
+    # Blocks 1 and 2 share their points 3 and 4 outside block 0, and no
+    # chosen block has a point of its own there: the padding takes 3, which
+    # both members can afford.
+    path = tmp_path / "shared.ss"
+    path.write_text(render_set_system(new_set_system(
+        10, [(0, 1, 2, 8, 9), (0, 2, 3, 4, 8), (0, 3, 4, 8, 9), (1, 2, 3, 4, 7)])),
+        encoding="utf-8")
+    assert main(["trace", "--kind", "ts-from-cff", "--t", "2", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "trace ts-from-cff\n"
+        "1 target block 0 covered by: 1 2 3\n"
+        "2 B_1 = block 1, sigma_1 = 1\n"
+        "3 B_2 = block 2, sigma_2 = 1\n"
+        "4 pirate set F = 0 2 3 8 9\n"
         "5 evasion: coalition 1 2, outsider 0\n")
 
 
@@ -649,8 +671,11 @@ def test_deep_searches_end_without_internal_error(tmp_path, capsys):
     out = run(["verify", "--property", "cff", "--t", "1049", str(path)], 1)
     assert out == ("verify property=cff t=1049 mode=exhaustive verdict=violated work=1104605\n"
                    "witness cff-cover\nstrength 1049\ntarget 1\ncover 0 2\n")
+    # The 1,049 points outside block 0 lie in all 33 chosen blocks, so each
+    # padding point charges every cap of spread = 32.
     out = run(["trace", "--kind", "ts-from-cff", "--t", "33", str(path)], 3)
-    assert out.startswith("trace ts-from-cff blocked\nstep private-points\n")
+    assert out == ("trace ts-from-cff blocked\nstep padding\n"
+                   "only 32 points fit the caps, need 1017\n")
     # Coalitions of up to 1,049 one-point blocks, walked until the budget ends.
     ones = new_set_system(1050, [[i] for i in range(1050)])
     path = tmp_path / "ones.ss"
@@ -718,6 +743,33 @@ def test_constructions_over_budget_stop_before_building(capsys):
         assert capsys.readouterr().err.endswith(f"= {size} incidences exceed budget {size - 1}\n")
         assert main(argv + [str(size)]) == 0, family
         assert capsys.readouterr().out.startswith("setsystem ")
+
+
+def test_unexpected_errors_print_as_internal_errors(monkeypatch, capsys):
+    # InconsistentBounds is no SchemeError: a bound forced below the lower
+    # one reaches the catch-all, which prints it instead of a traceback.
+    monkeypatch.setattr("traceschemes.bounds.ts_upper_sw",
+                        lambda p: ts_upper_sw(p)._replace(integer_bound=0))
+    assert main(["bound", "--t", "2", "--w", "3", "--v", "9"]) == 2
+    assert capsys.readouterr() == (
+        "", "internal error: InconsistentBounds("
+            "'lower 7 exceeds upper 0 for ts SchemeParams(t=2, w=3, v=9)')\n")
+
+
+def test_modules_run_as_scripts_exit_with_the_code_of_main(monkeypatch, capsys):
+    # python -m traceschemes and python -m traceschemes.cli, in this process
+    argv = ["bound", "--t", "2", "--w", "5", "--v", "21"]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["traceschemes", *argv])
+    for module in ("traceschemes", "traceschemes.cli"):
+        with warnings.catch_warnings():
+            # the CLI module is already imported; its second copy runs alone
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as stop:
+                runpy.run_module(module, run_name="__main__")
+        assert stop.value.code == 0, module
+        assert capsys.readouterr() == expected, module
 
 
 # Runs one subcommand in a fresh interpreter; prints the submodules loaded by

@@ -13,7 +13,9 @@ from traceschemes import (
     CongruenceViolated,
     NotADesign,
     ParamsInvalid,
+    SchemeParams,
     ag_lines,
+    bound_report,
     design_max_strength,
     extend_design,
     greedy_packing_ts,
@@ -199,6 +201,17 @@ def test_greedy_packing_budget():
         greedy_packing_ts(4, 5, 2)
 
 
+def test_hermitian_unital_refuses_its_size_before_building_a_point(monkeypatch):
+    # The size needs only n = q^3 + 1 = 730, not the 6,643 points of
+    # PG(2, 81) that the curve is cut from.
+    def unreached(*args):
+        raise AssertionError("the Hermitian form was evaluated")
+
+    monkeypatch.setattr(construct, "_hermitian_form", unreached)
+    with pytest.raises(BudgetExceeded, match="5913 blocks of 10 points"):
+        hermitian_unital(9, budget=1)
+
+
 # sha256 of render_set_system for each design: any change to how the designs
 # are built must reproduce every byte.
 DESIGN_DIGESTS = [
@@ -252,12 +265,39 @@ def test_each_block_is_built_once(monkeypatch, family, args, tau):
     calls = []
     build = construct._steiner_blocks
 
-    def counting(n, tau_, w, budget, block_through):
+    def counting(n, tau_, block_through):
         assert tau_ == tau
-        return build(n, tau_, w, budget, lambda *sub: calls.append(sub) or block_through(*sub))
+        return build(n, tau_, lambda *sub: calls.append(sub) or block_through(*sub))
 
     monkeypatch.setattr(construct, "_steiner_blocks", counting)
     s = family(*args)
     assert len(calls) == s.m
     # each call comes from the least tau-subset of the block it builds
     assert sorted(calls) == sorted(b[:tau] for b in s.blocks)
+
+
+# The atlas: constructions whose size attains the TS upper bound, each
+# certified at its strength.  The projective planes of order t^2, the
+# affine planes of order t^2 + 1, and four more designs at t = 2 and 3.
+ATLAS = [(pg_lines, (2, 4), 2), (pg_lines, (2, 9), 3), (pg_lines, (2, 16), 4),
+         (pg_lines, (2, 25), 5), (pg_lines, (2, 49), 7),
+         (ag_lines, (2, 5), 2), (ag_lines, (2, 17), 4), (ag_lines, (2, 37), 6),
+         (pg_lines, (3, 4), 2), (hermitian_unital, (4,), 2), (inversive_plane, (8,), 2),
+         (hermitian_unital, (9,), 3)]
+
+
+def test_atlas_rows_attain_the_ts_upper_bound():
+    rows = []
+    for family, args, t in ATLAS:
+        s = family(*args)
+        outcome = verify_ts(s, t, mode="certified")
+        assert (outcome.verdict, outcome.mode) == ("holds", "certified"), (family, args)
+        report = bound_report(SchemeParams(t, s.w, s.v), "ts")
+        attained = [b.name for b in report.entries
+                    if b.applicable and b.direction == "upper" and b.integer_bound == s.m]
+        assert s.m == report.upper and attained == ["upper-special"], (family, args)
+        rows.append(f"{family.__name__}{args} t={t} v={s.v} w={s.w} m={s.m} "
+                    f"{outcome.verdict} work={outcome.work}")
+    # work runs from 525 for pg_lines(2, 4) to 6,127,500 for pg_lines(2, 49)
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+        "62876a65b31a66226e4d835e2f350906fdde13da629f9d300b8ed9c511082157")

@@ -226,6 +226,15 @@ def test_parse_rejects_points_that_int_alone_accepts(line):
     assert str(err.value) == f"line 2: trailing garbage {line!r}"
 
 
+def test_parse_reports_an_unexpected_error_as_a_format_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("unexpected")
+
+    monkeypatch.setattr("traceschemes.core.new_set_system", broken)
+    with pytest.raises(FormatError, match="^unexpected$"):
+        parse_set_system("setsystem v=3 w=2 m=1\n0 1\n")
+
+
 def test_parse_splits_points_on_any_whitespace():
     text = "setsystem v=4 w=2 m=2\n0\t1\n 2 \t 3\t\n"
     assert parse_set_system(text) == new_set_system(4, [[0, 1], [2, 3]])

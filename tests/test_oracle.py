@@ -203,13 +203,13 @@ def cover_cases(draw):
 
 
 @given(cover_cases(), st.sampled_from((3, 4)))
-def test_ts_trace_blocks_only_when_private_points_run_short(s, t):
+def test_ts_trace_blocks_only_when_padding_runs_short(s, t):
     cff = verify_cff(s, t * t)
     if not cff.violated:
         return
     trace = ts_violation_from_cff_failure(s, t, cff.witness)
     if isinstance(trace, TraceBlocked):
-        assert trace.step == "private-points"
+        assert trace.step == "padding"
         return
     # B_0 differs from every other block, so two blocks are always chosen;
     # fewer than t means they cover B_0, which is then the pirate set.
@@ -246,8 +246,26 @@ def test_ts_trace_output_is_pinned():
                 trace = ts_violation_from_cff_failure(s, t, cff.witness)
                 steps[getattr(trace, "step", "done")] += 1
                 h.update(render_trace_ts(trace).encode())
-    assert steps == {"done": 767, "private-points": 5}
-    assert h.hexdigest() == "11e2fc6de3c22dc39574fb9d82216461885c80f25fdfa08330429dc82bb7c144"
+    assert steps == {"done": 772}
+    assert h.hexdigest() == "c1ae22768096021ea55c2458f66b042a85a96f5a161976d7247a9bf77a2c228f"
+
+
+def test_ts_trace_padding_blocks_where_no_pirate_set_evades():
+    # B_1 and B_2 meet B_0 in two points each, so spread = sigma_2 = 2, and
+    # they share all five of their points outside it, so each padding point
+    # charges both caps: two fit, and three are needed beside the core 0..3.
+    s = new_set_system(18, [range(7), (0, 1, 7, 8, 9, 10, 11), (2, 3, 7, 8, 9, 10, 11),
+                            (4, 5, 12, 13, 14, 15, 16), (6, 12, 13, 14, 15, 16, 17)])
+    cff = verify_cff(s, 4)
+    assert cff.witness == CffCover(target=0, cover=(1, 2, 3, 4), strength=4)
+    assert ts_violation_from_cff_failure(s, 2, cff.witness) == TraceBlocked(
+        step="padding", detail="only 2 points fit the caps, need 3")
+    # No pirate set of that coalition leaves B_0 as close as both members.
+    b0, b1, b2 = (set(b) for b in s.blocks[:3])
+    for pirate in combinations(sorted(b1 | b2), s.w):
+        f = set(pirate)
+        assert len(f & b0) < max(len(f & b1), len(f & b2))
+    assert verify_ts(s, 2).violated
 
 
 # --- missing own-subsets -> ambiguity trace ----------------------------------
@@ -402,6 +420,13 @@ def test_check_configuration_validation():
         check_configuration([{"a", "b", "c"}], 2)
     with pytest.raises(ParamsInvalid):
         check_configuration([set()], 2)
+
+
+def test_check_configuration_refuses_a_union_past_the_cap(monkeypatch):
+    # The proven cap is never exceeded (the test below); a cap of 2 is.
+    monkeypatch.setattr("traceschemes.oracle.minimal_config_size_bound", lambda t: 2)
+    with pytest.raises(MinimalConfigTooLarge, match="union 3 exceeds cap 2"):
+        check_configuration([{"a", "b"}, {"a", "c"}, {"b", "c"}], 2)
 
 
 def test_minimal_configurations_respect_union_cap():
