@@ -45,8 +45,16 @@ MUTANTS = {
         "tau = _ceil_div(s.w, k)"),
     "cff-certificate-strength-t-1": (
         "verify.py",
-        "cert = _pairwise_certificate(s, t, work)",
-        "cert = _pairwise_certificate(s, max(1, t - 1), work)"),
+        "cert = _pairwise_certificate(s, t, work, cols)",
+        "cert = _pairwise_certificate(s, max(1, t - 1), work, cols)"),
+    "certificate-zeroes-shared-columns": (
+        "verify.py",
+        "        cols = cols.copy()\n",
+        ""),
+    "certificate-keeps-core-columns": (
+        "verify.py",
+        "cols[p] = 0",
+        "pass"),
     "certificate-core-every-block-unchecked": (
         "verify.py",
         "if any(mask & core != core for mask in s.masks):",

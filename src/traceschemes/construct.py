@@ -8,13 +8,14 @@ last), so repeated runs produce byte-identical files.
 
 The four tau-(v, w, 1) designs (projective and affine lines, the Hermitian
 unital, the inversive plane) each supply only the block through a given
-pair or triple of points.  Each design sizes its ground set and its
+pair or triple of points.  Each design checks its field order
+(:func:`~traceschemes.gf.prime_power`), sizes its ground set and its
 C(v, tau)/C(w, tau) blocks from its parameters alone, and refuses them
-(:func:`_check_design`) before a point is built; :func:`_steiner_blocks`
-then walks the tau-subsets and builds each block once, from the first
-tau-subset it contains.  The inversive plane reads its circles off the
-cross-ratio on homogeneous coordinates, so the infinite point needs no
-case of its own.
+(:func:`_check_design`) before its field or a point is built;
+:func:`_steiner_blocks` then walks the tau-subsets and builds each block
+once, from the first tau-subset it contains.  The inversive plane reads
+its circles off the cross-ratio on homogeneous coordinates, so the
+infinite point needs no case of its own.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .core import (
     _points,
     new_set_system,
 )
-from .gf import GF, gf
+from .gf import GF, gf, prime_power
 from . import verify
 
 # Work cap of a construction, in incidences (m blocks of w points) or, for
@@ -156,9 +157,10 @@ def pg_lines(n: int, q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     """
     if not 2 <= n <= 12:  # every q is >= 2, so from n = 13 on no space fits the cap
         raise ParamsInvalid(f"projective dimension n={n} must be in [2, 12]")
-    field = gf(q)
+    prime_power(q)  # before the count, whose formula divides by q - 1
     v = (q ** (n + 1) - 1) // (q - 1)
-    _check_design(v, 2, q + 1, budget)  # before a point is built
+    _check_design(v, 2, q + 1, budget)  # before the field or a point is built
+    field = gf(q)
     pts = _projective_points(field, n + 1)
     index = {pt: i for i, pt in enumerate(pts)}
 
@@ -177,8 +179,9 @@ def ag_lines(n: int, q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     """
     if not 2 <= n <= 12:  # every q is >= 2, so from n = 13 on no space fits the cap
         raise ParamsInvalid(f"affine dimension n={n} must be in [2, 12]")
+    prime_power(q)
+    _check_design(q ** n, 2, q, budget)  # before the field or a point is built
     field = gf(q)
-    _check_design(q ** n, 2, q, budget)  # before a point is built
     pts = sorted(product(range(q), repeat=n))
     index = {pt: i for i, pt in enumerate(pts)}
 
@@ -200,8 +203,9 @@ def inversive_plane(q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     cross-ratio det(z,a)*det(b,c) / (det(z,c)*det(b,a)) is in GF(q).
     A 3-design with index 1, width q+1, and q^3 + q blocks.
     """
+    prime_power(q * q)
+    _check_design(q * q + 1, 3, q + 1, budget)  # before the field or a point is built
     field = gf(q * q)
-    _check_design(q * q + 1, 3, q + 1, budget)  # before a point is built
     sub_members = set(field.subfield(q))
     add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
     coords = [(x, 1) for x in range(field.q)] + [(1, 0)]
@@ -226,8 +230,9 @@ def hermitian_unital(q: int, budget: int = DEFAULT_BUDGET) -> SetSystem:
     blocks the secant-line sections; a 2-design with index 1, width q+1,
     and q^2 (q^2 - q + 1) blocks.
     """
+    prime_power(q * q)
+    _check_design(q ** 3 + 1, 2, q + 1, budget)  # before the field or PG(2, q^2) is built
     field = gf(q * q)
-    _check_design(q ** 3 + 1, 2, q + 1, budget)  # before PG(2, q^2) is walked
     pts = _projective_points(field, 3)
     curve = [pt for pt in pts if not _hermitian_form(field, q, pt)]
     index = {pt: i for i, pt in enumerate(curve)}

@@ -78,16 +78,20 @@ def _find_irreducible(p: int, k: int) -> list[int]:
     raise AssertionError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k for a supported order q; no table is built."""
+    if q in PRIME_POWERS:
+        return PRIME_POWERS[q]
+    if q in PRIMES:
+        return q, 1
+    raise UnsupportedFieldOrder(f"field order {q} not supported")
+
+
 class GF:
     """Arithmetic tables for one finite field; obtain instances via :func:`gf`."""
 
     def __init__(self, q: int) -> None:
-        if q in PRIME_POWERS:
-            p, k = PRIME_POWERS[q]
-        elif q in PRIMES:
-            p, k = q, 1
-        else:
-            raise UnsupportedFieldOrder(f"field order {q} not supported")
+        p, k = prime_power(q)
         self.q = q
         self.p = p
         self.k = k

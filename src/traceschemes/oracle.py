@@ -51,7 +51,8 @@ from .verify import (
     _ipps_ambiguity,
     _ipps_pop,
     _ipps_push,
-    _point_blocks,
+    _point_columns,
+    _Table,
     _ts_evader,
     _Work,
     check_witness,
@@ -349,7 +350,8 @@ def ipps_violation_from_missing_own_subsets(s: SetSystem, t: int, budget: int = 
         if _has_own_subset(s, i, k):
             return TraceBlocked(step="precondition",
                                 detail=f"block {i} has a {k}-own-subset")
-    pb = _point_blocks(s)
+    cols = _point_columns(s)
+    pb = _Table(lambda p: _points(cols[p]))
     work = _Work(budget)
     over_budget = f"cover search exceeded its budget of {budget} work units"
 

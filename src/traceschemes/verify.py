@@ -62,10 +62,12 @@ EXHAUSTIVE = "exhaustive"
 CERTIFIED = "certified"
 
 BUDGET_EXCEEDED = "BudgetExceeded"
-# Exhaustive TS filters outsiders with packed tables only while their v + m
-# integers of m * F bits (see _PackedCounts), and up to three such per
-# coalition member for the walk's states, fit in this many bits, 32 MB.
-_PACKED_TABLE_BITS = 1 << 28
+# The cap, 32 MB, on the tables an exhaustive decision builds: TS filters
+# outsiders with packed tables only while their v + m integers of m * F bits
+# (see _PackedCounts), and up to three such per coalition member for the
+# walk's states, fit in this many bits; IPPS lists its selections, a union
+# and a set of blocks of v + m bits each, only while they fit.
+_TABLE_BITS = 1 << 28
 
 
 class CffCover(NamedTuple):
@@ -143,16 +145,8 @@ class _Work:
             raise _BudgetStop
 
 
-def _point_blocks(s: SetSystem) -> list[list[int]]:
-    pb: list[list[int]] = [[] for _ in range(s.v)]
-    for i, b in enumerate(s.blocks):
-        for p in b:
-            pb[p].append(i)
-    return pb
-
-
 def _point_columns(s: SetSystem) -> list[int]:
-    """``cols[p]`` has bit j set iff point p lies in block j."""
+    """``cols[p]`` has bit j set iff point p lies in block j: a decision's one point index."""
     cols = [0] * s.v
     for j, b in enumerate(s.blocks):
         bit = 1 << j
@@ -161,18 +155,31 @@ def _point_columns(s: SetSystem) -> list[int]:
     return cols
 
 
-def _overlaps(s: SetSystem, work: _Work, cols: list[int] | None = None):
+class _Table(dict):
+    """A dict that builds each missing entry with ``build`` on first use."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _overlaps(s: SetSystem, work: _Work, cols: list[int]):
     """For each block i in turn, |B_i & B_j| for every block j, bit-sliced.
 
     Yields a list of planes: bit j of ``planes[k]`` is bit k of
     |B_i & B_j|, and bit i is clear in every plane.  The planes are
-    counters added to one point column of B_i at a time (``cols``, built
-    here if not given), with a carry rippling up while it lasts, so the
-    counts of all blocks move at once.  Block i costs the sum of its
-    points' degrees, one work unit each, paid before its planes are built.
+    counters added to one point column ``cols[p]`` of B_i at a time (0
+    leaves p out), with a carry rippling up while it lasts, so the counts of
+    all blocks move at once.  Block i costs the sum of its points' degrees,
+    one work unit each, paid before its planes are built.
     Read them with :func:`_largest`, :func:`_least` and :func:`_at_least`.
     """
-    cols = _point_columns(s) if cols is None else cols
     degrees = list(map(int.bit_count, cols))
     for i, b in enumerate(s.blocks):
         work.tick(sum(map(degrees.__getitem__, b)))
@@ -232,14 +239,14 @@ def _at_least(planes: list[int], tau: int) -> int:
     return above | equal
 
 
-def _packing_pairs(s: SetSystem, tau: int, work: _Work):
+def _packing_pairs(s: SetSystem, tau: int, work: _Work, cols: list[int]):
     """For each block i in turn, the mask of the blocks j > i meeting B_i in >= tau points.
 
-    Read off :func:`_overlaps`, at its cost.  A block meeting an earlier one
-    was met by it first, so the first non-empty mask is at the first block
-    meeting any other.
+    Read off :func:`_overlaps` on ``cols``, at its cost.  A block meeting an
+    earlier one was met by it first, so the first non-empty mask is at the
+    first block meeting any other.
     """
-    for i, planes in enumerate(_overlaps(s, work)):
+    for i, planes in enumerate(_overlaps(s, work, cols)):
         yield _at_least(planes, tau) >> (i + 1) << (i + 1)
 
 
@@ -287,7 +294,7 @@ def verify_packing(s: SetSystem, tau: int, budget: int = DEFAULT_BUDGET) -> Veri
     try:
         # Every two blocks must share < tau points; report the least shared tau-subset.
         repeated: tuple[int, ...] | None = None
-        for i, later in enumerate(_packing_pairs(s, tau, work)):
+        for i, later in enumerate(_packing_pairs(s, tau, work, _point_columns(s))):
             for j in _points(later):
                 other = s.masks[j]
                 cand = tuple(p for p in s.blocks[i] if other >> p & 1)[:tau]
@@ -305,7 +312,7 @@ def verify_packing(s: SetSystem, tau: int, budget: int = DEFAULT_BUDGET) -> Veri
 # cover-free families
 
 
-def _find_cover(masks, pb: list[list[int]], target_mask: int, limit: int, w: int,
+def _find_cover(masks, pb, target_mask: int, limit: int, w: int,
                 work: _Work, skip: int = -1) -> tuple[int, ...] | None:
     """First cover of ``target_mask`` by <= limit blocks other than ``skip``.
 
@@ -361,8 +368,8 @@ def verify_cff(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOutc
     searched, when the blocks less the d points common to all of them share
     fewer than ceil((w-d)/t) points pairwise (:func:`_pairwise_certificate`,
     at its cost).  If not, :func:`_find_cover` looks for a cover of each
-    block in turn, and a violation reports the first block covered and its
-    first cover.
+    block in turn, on the certificate's point columns, and a violation
+    reports the first block covered and its first cover.
     """
     if t < 1:
         raise ParamsInvalid(f"strength t={t} must be >= 1")
@@ -370,11 +377,12 @@ def verify_cff(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOutc
         return VerifyOutcome(HOLDS, EXHAUSTIVE, detail="no block lies in another", work=0)
     work = _Work(budget)
     try:
-        cert = _pairwise_certificate(s, t, work)
+        cols = _point_columns(s)
+        cert = _pairwise_certificate(s, t, work, cols)
         if cert is not None:
             return VerifyOutcome(HOLDS, EXHAUSTIVE, detail=f"{cert} certify a {t}-CFF",
                                  work=work.count)
-        pb = _point_blocks(s)
+        pb = _Table(lambda p: _points(cols[p]))
         limit = min(t, s.m - 1)
         for b0 in range(s.m):
             cover = _find_cover(s.masks, pb, s.masks[b0], limit, s.w, work, b0)
@@ -538,20 +546,6 @@ def _ts_witness(masks, coalition: tuple[int, ...], outsiders: list[int], w: int,
     return None if found is None else (tuple(_points(prefix)), found)
 
 
-class _Table(dict):
-    """A dict that builds each missing entry with ``build`` on first use."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build) -> None:
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
 class _PackedCounts:
     """Overlap counts of every block with a coalition, packed into integers.
 
@@ -596,7 +590,8 @@ class _PackedCounts:
         return ((k + 1) * a + (self.half - w) * self.ones - sums) & guards
 
 
-def _pairwise_certificate(s: SetSystem, k: int, work: _Work, core: int | None = None) -> str | None:
+def _pairwise_certificate(s: SetSystem, k: int, work: _Work, cols: list[int],
+                          core: int | None = None) -> str | None:
     """Whether the blocks less ``core`` share < tau = ceil((w - d)/k) points pairwise.
 
     ``core`` is a mask of d < w points in every block, by default all the
@@ -609,16 +604,18 @@ def _pairwise_certificate(s: SetSystem, k: int, work: _Work, core: int | None = 
     t (tau - 1) < (w - d)/t.  With d = 0 this is Stinson and Wei's
     condition.  At k = t, s is a t-CFF: a cover of a block B need only
     cover the w - d points of B - core, and t other blocks reach at most
-    t (tau - 1) < w - d of them.  The scan is :func:`_packing_pairs` on
-    the stripped blocks, at its cost.
+    t (tau - 1) < w - d of them.  The scan is :func:`_packing_pairs` on a
+    copy of s's point columns ``cols`` with the core's set to 0, at the
+    cost of the stripped blocks.
     """
     core = reduce(and_, s.masks) if core is None else core
     d = core.bit_count()
     tau = _ceil_div(s.w - d, k)
     if core:
-        s = SetSystem(s.v, s.w - d, tuple(tuple(p for p in b if not core >> p & 1)
-                                          for b in s.blocks))
-    if any(_packing_pairs(s, tau, work)):
+        cols = cols.copy()
+        for p in _points(core):
+            cols[p] = 0
+    if any(_packing_pairs(s, tau, work, cols)):
         return None
     where = f" outside {d} common points" if core else ""
     return f"pairwise intersections{where} below {tau}"
@@ -640,7 +637,7 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
     of c[:d + 1], or None until a coalition needs it; it is pushed, reset
     and popped with c[d], so it always belongs to the members now in
     ``c``.  Systems whose tables and states could pass
-    :data:`_PACKED_TABLE_BITS` go without this filter.
+    :data:`_TABLE_BITS` go without this filter.
     For the others, whether some pirate set lets an outsider evade is
     decided by counting overlaps (:func:`_ts_evader`); for the first evaded
     coalition, :func:`_ts_witness` builds the lexicographically first
@@ -669,7 +666,7 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
                 if any(mask & core != core for mask in s.masks):
                     core, detail = 0, "appended points missing from some block"
         try:
-            cert = _pairwise_certificate(s, t * t, work, core)
+            cert = _pairwise_certificate(s, t * t, work, _point_columns(s), core)
             if cert is not None:
                 return VerifyOutcome(HOLDS, CERTIFIED, detail=f"{cert} certify strength {t}",
                                      work=work.count)
@@ -687,7 +684,7 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
     least = [0] + [_ceil_div(w, k) for k in range(1, min(t, m) + 1)]
     cols = _point_columns(s)
     packed = _PackedCounts(s, t, cols)
-    fits = (s.v + m + 3 * min(t, m)) * m * packed.width <= _PACKED_TABLE_BITS
+    fits = (s.v + m + 3 * min(t, m)) * m * packed.width <= _TABLE_BITS
     try:
         maxima = map(_largest, _overlaps(s, work, cols))
         rowmax: list[int] = []
@@ -829,12 +826,13 @@ def verify_ipps(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOut
     in every cover.  So a system holds, and no selection is listed, when
     its blocks less the d points common to all of them share fewer than
     ceil((w-d)/t^2) points pairwise: the certificate of certified TS
-    (:func:`_pairwise_certificate`), at its cost.  Otherwise
-    each size k = 1..min(t, m) is paid for, C(m, k) work units, before any
-    selection is listed, so the budget also bounds memory; then the blocks
-    are pushed one by one (:func:`_ipps_push`) and :func:`_ipps_ambiguity`
-    decides.  A violation reports the lexicographically first ambiguous
-    w-set and all its minimal covers.
+    (:func:`_pairwise_certificate`), at its cost.  Otherwise each size
+    k = 1..min(t, m) is paid for, C(m, k) work units, before any selection
+    is listed, and the selections of the sizes paid for must fit
+    :data:`_TABLE_BITS` at v + m bits each, or the run is inconclusive;
+    then the blocks are pushed one by one (:func:`_ipps_push`) and
+    :func:`_ipps_ambiguity` decides.  A violation reports the
+    lexicographically first ambiguous w-set and all its minimal covers.
     """
     if t < 1:
         raise ParamsInvalid(f"strength t={t} must be >= 1")
@@ -842,16 +840,21 @@ def verify_ipps(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOut
         return VerifyOutcome(HOLDS, EXHAUSTIVE, work=0)
     work = _Work(budget)
     try:
-        cert = _pairwise_certificate(s, t * t, work)
+        cert = _pairwise_certificate(s, t * t, work, _point_columns(s))
         if cert is not None:
             detail = f"{cert} certify a {t}-TS, so a {t}-IPPS"
             return VerifyOutcome(HOLDS, EXHAUSTIVE, detail=detail, work=work.count)
         levels: list[tuple[list[int], list[int]]] = [([], []) for _ in range(min(t, s.m))]
+        listed = 0
         for k in range(1, len(levels) + 1):
             size = comb(s.m, k)
             if work.count + size > work.budget:
                 raise _BudgetStop
             work.count += size
+            listed += size
+            if listed * (s.v + s.m) > _TABLE_BITS:
+                detail = f"{listed} selections of at most {k} blocks exceed the table cap"
+                return VerifyOutcome(INCONCLUSIVE, EXHAUSTIVE, detail=detail, work=work.count)
         for i, mask in enumerate(s.masks):
             _ipps_push(levels, mask, i)
         found = _ipps_ambiguity(levels, s.w, work)

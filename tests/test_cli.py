@@ -692,9 +692,14 @@ def test_deep_searches_end_without_internal_error(tmp_path, capsys):
         assert time.perf_counter() - start < 2.0
 
 
-def test_over_cap_inputs_stop_before_any_work(capsys):
+def _no_field(q):
+    raise AssertionError(f"GF({q}) built before the design was sized")
+
+
+def test_over_cap_inputs_stop_before_any_work(monkeypatch, capsys):
     # Each ground set is sized from the parameters alone, before a point,
     # field table or search node exists.
+    monkeypatch.setattr("traceschemes.construct.gf", _no_field)
     cases = {
         ("search", "--property", "cff", "--t", "2", "--w", "2", "--v", "5000"): 5000,
         ("search", "--property", "ts", "--t", "2", "--w", "2", "--v", "5000",
@@ -721,12 +726,15 @@ def test_over_cap_inputs_stop_before_any_work(capsys):
     assert capsys.readouterr().err == "error: field order 1 not supported\n"
 
 
-def test_constructions_over_budget_stop_before_building(capsys):
+def test_constructions_over_budget_stop_before_building(monkeypatch, capsys):
     # Each family's block count is known from its parameters: C(v, tau) /
-    # C(w, tau) for the designs, v - w + 1 for the shared core.  AG(12, 2)
-    # has 4,096 points, within the cap, and 8,386,560 two-point lines.
+    # C(w, tau) for the designs, v - w + 1 for the shared core, so a design
+    # is refused before its field is built.  AG(12, 2) has 4,096 points,
+    # within the cap, and 8,386,560 two-point lines.
     start = time.perf_counter()
-    assert main(["construct", "--family", "ag-lines", "--n", "12", "--q", "2"]) == 2
+    with monkeypatch.context() as patch:
+        patch.setattr("traceschemes.construct.gf", _no_field)
+        assert main(["construct", "--family", "ag-lines", "--n", "12", "--q", "2"]) == 2
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -739,7 +747,9 @@ def test_constructions_over_budget_stop_before_building(capsys):
                          (["inversive", "--q", "3"], 120),
                          (["trivial", "--v", "30", "--w", "5"], 130)):
         argv = ["construct", "--family", *family, "--budget"]
-        assert main(argv + [str(size - 1)]) == 2, family
+        with monkeypatch.context() as patch:
+            patch.setattr("traceschemes.construct.gf", _no_field)
+            assert main(argv + [str(size - 1)]) == 2, family
         assert capsys.readouterr().err.endswith(f"= {size} incidences exceed budget {size - 1}\n")
         assert main(argv + [str(size)]) == 0, family
         assert capsys.readouterr().out.startswith("setsystem ")

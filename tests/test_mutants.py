@@ -10,7 +10,7 @@ _spec.loader.exec_module(mutants)
 
 
 def test_each_mutant_text_occurs_exactly_once():
-    assert len(mutants.MUTANTS) == 17
+    assert len(mutants.MUTANTS) == 19
     for name, (file, old, new) in mutants.MUTANTS.items():
         text = (ROOT / "src" / "traceschemes" / file).read_text()
         assert text.count(old) == 1, name

@@ -59,11 +59,12 @@ from traceschemes.verify import (
     _least,
     _overlaps,
     _PackedCounts,
-    _point_blocks,
+    _pairwise_certificate,
     _point_columns,
     _ts_evader,
     _ts_packs,
     _ts_witness,
+    _Table,
     _Work,
 )
 
@@ -437,6 +438,21 @@ def cored_systems(draw):
     return new_set_system(v + d, [b + tuple(range(v, v + d)) for b in base]), d
 
 
+@given(cored_systems(), st.integers(1, 9))
+def test_stripped_certificate_is_the_pairwise_condition(case, k):
+    # With the planted core, and with the default one (every common point),
+    # the certificate holds iff max |B_i & B_j| - d < ceil((w - d)/k) over
+    # the pairs i < j, and it leaves the columns it is given as they were.
+    s, d = case
+    common = set.intersection(*map(set, s.blocks))
+    shared = max(len(set(a) & set(b)) for a, b in combinations(s.blocks, 2))
+    for core, size in ((_mask(range(s.v - d, s.v)), d), (None, len(common))):
+        cols = _point_columns(s)
+        cert = _pairwise_certificate(s, k, _Work(), cols, core)
+        assert (cert is not None) == (shared - size < -(-(s.w - size) // k)), core
+        assert cols == _point_columns(s)
+
+
 @given(cored_systems(), st.integers(2, 3))
 @example((new_set_system(7, [(0, 5, 6), (1, 5, 6), (2, 5, 6), (3, 4, 5)]), 2), 2)
 def test_stripped_certificate_never_settles_a_violated_system(case, t):
@@ -528,7 +544,8 @@ def test_cover_search_budget_stops_inside_the_walk():
     # Blocks 1 and 4 cover block 0 of the triples of six points, found at
     # the third node; a budget of 2 pays for the first two only.
     s = new_set_system(6, list(combinations(range(6), 3)))
-    pb = _point_blocks(s)
+    cols = _point_columns(s)
+    pb = _Table(lambda p: _points(cols[p]))
     assert _find_cover(s.masks, pb, s.masks[0], 2, s.w, _Work(3), 0) == (1, 4)
     with pytest.raises(_BudgetStop):
         _find_cover(s.masks, pb, s.masks[0], 2, s.w, _Work(2), 0)
@@ -852,7 +869,7 @@ def test_ts_without_packed_tables_gives_the_same_outcomes(monkeypatch):
     rng = random.Random(5)
     cases += [(_random_system(rng, 10, rng.randrange(2, 6), 12), t) for t in (2, 3, 4)]
     expected = [repr(verify_ts(s, t)) for s, t in cases]
-    monkeypatch.setattr(traceschemes.verify, "_PACKED_TABLE_BITS", 0)
+    monkeypatch.setattr(traceschemes.verify, "_TABLE_BITS", 0)
     assert [repr(verify_ts(s, t)) for s, t in cases] == expected
 
 
@@ -1009,7 +1026,7 @@ def test_ts_witness_matches_pirate_set_scan(case):
 
 def _assert_row_max_skips_are_sound(s, t):
     """Check the rowmax skip on every coalition of 2..t blocks; count the skips."""
-    rowmax = list(map(_largest, _overlaps(s, _Work(10**9))))
+    rowmax = list(map(_largest, _overlaps(s, _Work(10**9), _point_columns(s))))
     blocks = [set(b) for b in s.blocks]
     assert rowmax == [max(len(b & c) for j, c in enumerate(blocks) if j != i)
                       for i, b in enumerate(blocks)]
@@ -1061,7 +1078,7 @@ def test_overlap_kernel_matches_pairwise_counts(s, tau):
     blocks = [set(b) for b in s.blocks]
     degree = [sum(p in b for b in blocks) for p in range(s.v)]
     work, spent = _Work(), 0
-    for i, planes in enumerate(_overlaps(s, work)):
+    for i, planes in enumerate(_overlaps(s, work, _point_columns(s))):
         spent += sum(degree[p] for p in blocks[i])
         assert work.count == spent  # paid block by block, before each is read
         counts = {j: len(blocks[i] & b) for j, b in enumerate(blocks) if j != i}
@@ -1084,7 +1101,7 @@ def test_overlap_kernel_memory_stays_near_the_masks():
     masks = sum(map(sys.getsizeof, s.masks))
     tracemalloc.start()
     try:
-        assert max(map(_largest, _overlaps(s, _Work()))) == 1
+        assert max(map(_largest, _overlaps(s, _Work(), _point_columns(s)))) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1101,7 +1118,7 @@ def test_ts_with_and_without_packed_tables_agree(s, t, budget):
     # A state kept after its first member changed, as in the example, shows
     # on about one random system in a hundred; 200 draws missed it.
     packed = repr(verify_ts(s, t, budget=budget))
-    with patch.object(traceschemes.verify, "_PACKED_TABLE_BITS", 0):
+    with patch.object(traceschemes.verify, "_TABLE_BITS", 0):
         assert repr(verify_ts(s, t, budget=budget)) == packed
 
 
@@ -1296,18 +1313,27 @@ def test_ipps_certificate_lists_nothing_on_a_large_packing():
 
 def test_ipps_refuses_a_size_before_listing_anything():
     # The block {1..17} meets lines of PG(2, 16) in two points, so the
-    # pairwise certificate fails.  The budget pays for the 274 singles and
-    # the pairs, not for the 3,391,024 triples, so the walk stops before any
-    # selection is listed; listing the singles and pairs took 7.5 MiB.
+    # pairwise certificate fails.  A budget of 10^6 pays for the 274 singles
+    # and the pairs, not for the 3,391,024 triples, so the walk stops before
+    # any selection is listed; listing the singles and pairs took 7.5 MiB.
+    # The default budget pays for the triples too, but their 3,428,699
+    # selections so far, at 273 + 274 bits each, pass the table cap, so they
+    # are refused unlisted: the 233,170,575 selections up to size 4 would
+    # take tens of GB.
     s = new_set_system(273, [*pg_lines(2, 16).blocks, tuple(range(1, 18))])
-    tracemalloc.start()
-    try:
-        out = verify_ipps(s, 4, budget=10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (out.verdict, out.detail, out.work) == ("inconclusive", "BudgetExceeded", 37_980)
-    assert peak < 1 << 20, peak
+    listed = 274 + comb(274, 2) + comb(274, 3)
+    for budget, detail, work in (
+            (10**6, "BudgetExceeded", 37_980),
+            (10**9, f"{listed} selections of at most 3 blocks exceed the table cap",
+             305 + listed)):
+        tracemalloc.start()
+        try:
+            out = verify_ipps(s, 4, budget=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.verdict, out.detail, out.work) == ("inconclusive", detail, work)
+        assert peak < 1 << 20, peak
 
 
 @given(wide_systems(), st.integers(1, 3), st.integers(0, 2000))
