@@ -111,6 +111,26 @@ MUTANTS = {
         "oracle.py",
         "if not _cff_extension_ok(masks, pb, w, t, work):",
         "if not _cff_extension_ok(masks, pb, w, t + 1, work):"),
+    "search-child-takes-parent-passes": (
+        "oracle.py",
+        "        ahead = 0  # the child starts from this family's verdicts\n",
+        ""),
+    "search-verdict-offset+1": (
+        "oracle.py",
+        "bits ^= 1 << ahead",
+        "bits ^= 2 << ahead"),
+    "search-decides-past-the-budget": (
+        "oracle.py",
+        "end = min(budget - nodes, total - pos)",
+        "end = total - pos"),
+    "search-step-stops-before-the-pass": (
+        "oracle.py",
+        "step = first + 1 if found else ahead",
+        "step = first if found else ahead"),
+    "search-allowance-doubled": (
+        "oracle.py",
+        "spare = budget  #",
+        "spare = 2 * budget  #"),
 }
 
 

@@ -8,8 +8,9 @@ complete).  Its root takes only the first w-set: the properties are kept by
 every point permutation, which can move any block there, and a walk over
 every root would meet its first maximum family in that subtree anyway.
 The walk is one loop: each candidate w-set is a mask computed from the
-last one, so memory is O(v + family size) at any budget and no depth of
-the family meets the recursion limit.
+last one, and no depth of the family meets the recursion limit.  As the
+properties are hereditary, a family checks only the candidates its parent
+passed; the verdicts are one bitset per family on the walk's path.
 
 The violation builders replay the constructive arguments behind the
 strength-squared cover-free relation and the small-own-subset
@@ -24,6 +25,7 @@ a linking set is read off the points left in its block.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 from .bounds import bound_report, minimal_config_size_bound
@@ -149,17 +151,23 @@ def _ipps_extension_ok(masks: list[int], pb: list[list[int]],
     a t-IPPS need not be a (t + 1)-CFF.  Otherwise the block is pushed
     (:func:`_ipps_push`) and the ambiguity walk decides; every ambiguous
     w-set of the new family has a minimal cover holding the new block
-    (were all of them old, it was ambiguous before).  A rejected block is
-    popped again, so ``levels`` gains the new block only when it is
-    accepted.
+    (were all of them old, it was ambiguous before).  The block is popped
+    again, so ``levels`` is left as it was: the search pushes a block only
+    when it adds it to the family.
     """
     if not _cff_extension_ok(masks, pb, w, t, work):
         return False
     _ipps_push(levels, masks[-1], len(masks) - 1)
-    if _ipps_ambiguity(levels, w, work) is not None:
-        _ipps_pop(levels)
-        return False
-    return True
+    ok = _ipps_ambiguity(levels, w, work) is None
+    _ipps_pop(levels)
+    return ok
+
+
+def _colex_skip(mask: int, n: int) -> int:
+    """The n-th w-set after ``mask`` in colex order."""
+    for _ in range(n):
+        mask = _colex_next(mask)
+    return mask
 
 
 def exhaustive_optimal(p: SchemeParams, property: str,
@@ -172,11 +180,27 @@ def exhaustive_optimal(p: SchemeParams, property: str,
     subtree first and keep only strictly larger families after it, so its
     first maximum family, the witness, is the one found here.
 
-    The walk is one loop over a current candidate mask.  The candidate
-    after a tried one, accepted or not, is its colex successor; one past
-    the last w-set, the last block is popped and the walk goes on at that
-    block's successor.  Memory is O(v + family size) at any budget, and
-    since nothing recurses, no family is too large for the walk.
+    The walk is one loop.  Each family on its path tries the candidates
+    after its last block in colex order, one node each, and descends into
+    each that passes its extension check; one past the last w-set it backs
+    up.  The properties are hereditary, so a block that fails the check of
+    a family fails the check of every larger family too.  Each family on
+    the path therefore keeps its verdicts as one int bitset over the
+    candidates from where the walk stands, and a child starts from its
+    parent's: it checks only the candidates the families below it passed,
+    and counts the others as nodes, in bulk, with no check.  Nodes, the
+    witness and ``complete`` are those of the plain walk that checks every
+    candidate it tries.
+
+    A family decides its candidates before the walk reaches them, at most
+    as many as the node budget left can reach.  Past the candidate the
+    walk stands on, it checks only while the run has made fewer than
+    ``budget`` such checks.  So a search makes at most 2 * budget checks;
+    one that completes makes at most nodes - 1, as each check is then a
+    node of the plain walk other than the root.  Candidates are never
+    listed: each mask is computed from the last, and each family's bitset
+    spans at most min(C(v, w), budget) bits.  Since nothing recurses, no
+    family is too large for the walk.
 
     Intended for tiny parameters (roughly v <= 9).  When the node budget
     runs out, the best family found so far is returned with
@@ -185,52 +209,106 @@ def exhaustive_optimal(p: SchemeParams, property: str,
     if property not in PROPERTIES:
         raise ParamsInvalid(f"property must be one of {PROPERTIES}, got {property!r}")
     _check_ground_set(p.v)  # before the walk, not at the witness after it
+    v, w, t = p.v, p.w, p.t
     best: list[int] = []
     masks: list[int] = []
     # pb[q] lists the family's blocks through point q, ascending, as the
     # cover kernels expect; a block joins it once accepted.
-    pb: list[list[int]] = [[] for _ in range(p.v)]
+    pb: list[list[int]] = [[] for _ in range(v)]
     # levels[k] lists the selections of k + 1 blocks of the family for the
     # IPPS check (see _ipps_push): a block is pushed once it is accepted,
     # and popped when the walk backs up past it.
-    levels: list[tuple[list[int], list[int]]] = [([], []) for _ in range(p.t)]
-    nodes = _Work(budget)
+    levels: list[tuple[list[int], list[int]]] = [([], []) for _ in range(t)]
     work = _Work()  # the node budget bounds the search instead
+    nodes = 0
+    spare = budget  # checks left for candidates ahead of the walk
+    total = comb(v, w)
+    # The deepest family's frame.  ``mask`` is the candidate the walk
+    # stands on, of colex rank ``pos``.  Bit i of ``bits`` is clear when
+    # the i-th candidate from there failed the check of this family or of
+    # a smaller one on the path; its first ``ahead`` bits are this family's
+    # verdicts, and past them a set bit is not yet decided.  ``frames``
+    # holds the frames of the families below.  The empty family's one
+    # candidate is 0, and it passes.
+    frames: list[tuple[int, int, int]] = []
+    bits, ahead, pos = -1, 1, 0
+    mask = (1 << w) - 1
     complete = True
-    mask = root = (1 << p.w) - 1  # candidate 0
-    try:
-        # The root level holds only candidate 0, as argued above, so the
-        # walk ends when it backs up past the root.
-        while masks or mask == root:
-            nodes.tick()
-            index = len(masks)
-            masks.append(mask)
-            if property == "ts":
-                ok = _ts_extension_ok(masks, p.w, p.t, work)
-            elif property == "cff":
-                ok = _cff_extension_ok(masks, pb, p.w, p.t, work)
-            else:
-                ok = _ipps_extension_ok(masks, pb, levels, p.w, p.t, work)
-            if ok:
-                if len(masks) > len(best):
-                    best = masks.copy()
-                for q in _points(mask):
-                    pb[q].append(index)
-            else:
-                masks.pop()
-            mask = _colex_next(mask)
-            while mask >> p.v and masks:  # past the last w-set: back up
+    while True:
+        if not ahead:
+            if not masks:  # backed up past the root
+                break
+            if pos == total:  # past the last w-set: back up
+                bits, ahead, pos = frames.pop()
                 mask = masks.pop()
                 for q in _points(mask):
                     pb[q].pop()
                 if property == "ipps":
                     _ipps_pop(levels)
                 mask = _colex_next(mask)
-    except _BudgetStop:
-        complete = False
+                continue
+            end = min(budget - nodes, total - pos)
+            if end <= 0:  # the plain walk stops at this node
+                nodes += 1
+                complete = False
+                break
+            # Decide the candidates up to end, skipping those failed.
+            c = mask
+            while True:
+                rest = bits >> ahead
+                gap = (rest & -rest).bit_length() - 1
+                if ahead + gap >= end:
+                    ahead = end
+                    break
+                if gap:
+                    c = _colex_skip(c, gap)
+                    ahead += gap
+                if ahead:
+                    if not spare:
+                        break
+                    spare -= 1
+                masks.append(c)
+                if property == "ts":
+                    ok = _ts_extension_ok(masks, w, t, work)
+                elif property == "cff":
+                    ok = _cff_extension_ok(masks, pb, w, t, work)
+                else:
+                    ok = _ipps_extension_ok(masks, pb, levels, w, t, work)
+                masks.pop()
+                if not ok:
+                    bits ^= 1 << ahead
+                ahead += 1
+                c = _colex_next(c)
+        # The decided candidates up to the first that passed are nodes.
+        first = (bits & -bits).bit_length() - 1
+        found = first < ahead
+        step = first + 1 if found else ahead
+        if nodes + step > budget:  # the plain walk stops inside the step
+            nodes = budget + 1
+            complete = False
+            break
+        nodes += step
+        bits >>= step
+        ahead -= step
+        pos += step
+        if not found:
+            mask = _colex_skip(mask, step)
+            continue
+        mask = _colex_skip(mask, first)
+        index = len(masks)
+        masks.append(mask)
+        for q in _points(mask):
+            pb[q].append(index)
+        if property == "ipps":
+            _ipps_push(levels, mask, index)
+        if len(masks) > len(best):
+            best = masks.copy()
+        frames.append((bits, ahead, pos))
+        ahead = 0  # the child starts from this family's verdicts
+        mask = _colex_next(mask)
     witness = new_set_system(p.v, [_points(m) for m in best], width=p.w)
     return SearchResult(params=p, property=property, optimum=len(best),
-                        witness_family=witness, nodes_explored=nodes.count,
+                        witness_family=witness, nodes_explored=nodes,
                         complete=complete)
 
 

@@ -65,8 +65,8 @@ BUDGET_EXCEEDED = "BudgetExceeded"
 # The cap, 32 MB, on the tables an exhaustive decision builds: TS filters
 # outsiders with packed tables only while their v + m integers of m * F bits
 # (see _PackedCounts), and up to three such per coalition member for the
-# walk's states, fit in this many bits; IPPS lists its selections, a union
-# and a set of blocks of v + m bits each, only while they fit.
+# walk's states, fit in this many bits; IPPS lists its selections only while
+# they fit at their size in memory (see _selection_bits).
 _TABLE_BITS = 1 << 28
 
 
@@ -766,6 +766,17 @@ def _ipps_pop(levels: list[tuple[list[int], list[int]]]) -> None:
         del unions[size:], bits[size:]
 
 
+def _selection_bits(v: int, m: int) -> int:
+    """The memory, in bits, one listed selection takes in an IPPS decision.
+
+    A selection is two int objects, its union of v point bits and its set
+    of m block bits, and five list slots: one in each list of its level
+    (:func:`_ipps_push`), one in each flat copy :func:`_ipps_ambiguity`
+    scans, and one in that walk's filter of the selections through a point.
+    """
+    return 8 * (sys.getsizeof((1 << v) - 1) + sys.getsizeof((1 << m) - 1) + 5 * 8)
+
+
 def _ipps_ambiguity(levels: list[tuple[list[int], list[int]]], w: int, work: _Work):
     """Lexicographically first ambiguous w-set and the block bits of its covers.
 
@@ -829,10 +840,11 @@ def verify_ipps(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOut
     (:func:`_pairwise_certificate`), at its cost.  Otherwise each size
     k = 1..min(t, m) is paid for, C(m, k) work units, before any selection
     is listed, and the selections of the sizes paid for must fit
-    :data:`_TABLE_BITS` at v + m bits each, or the run is inconclusive;
-    then the blocks are pushed one by one (:func:`_ipps_push`) and
-    :func:`_ipps_ambiguity` decides.  A violation reports the
-    lexicographically first ambiguous w-set and all its minimal covers.
+    :data:`_TABLE_BITS` at :func:`_selection_bits` each, or the run is
+    inconclusive; then the blocks are pushed one by one
+    (:func:`_ipps_push`) and :func:`_ipps_ambiguity` decides.  A violation
+    reports the lexicographically first ambiguous w-set and all its
+    minimal covers.
     """
     if t < 1:
         raise ParamsInvalid(f"strength t={t} must be >= 1")
@@ -845,14 +857,14 @@ def verify_ipps(s: SetSystem, t: int, budget: int = DEFAULT_BUDGET) -> VerifyOut
             detail = f"{cert} certify a {t}-TS, so a {t}-IPPS"
             return VerifyOutcome(HOLDS, EXHAUSTIVE, detail=detail, work=work.count)
         levels: list[tuple[list[int], list[int]]] = [([], []) for _ in range(min(t, s.m))]
-        listed = 0
+        listed, each = 0, _selection_bits(s.v, s.m)
         for k in range(1, len(levels) + 1):
             size = comb(s.m, k)
             if work.count + size > work.budget:
                 raise _BudgetStop
             work.count += size
             listed += size
-            if listed * (s.v + s.m) > _TABLE_BITS:
+            if listed * each > _TABLE_BITS:
                 detail = f"{listed} selections of at most {k} blocks exceed the table cap"
                 return VerifyOutcome(INCONCLUSIVE, EXHAUSTIVE, detail=detail, work=work.count)
         for i, mask in enumerate(s.masks):

@@ -10,7 +10,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traceschemes import (
@@ -35,7 +35,10 @@ from traceschemes import (
     verify_ipps,
     verify_ts,
 )
+from traceschemes import oracle
+from traceschemes.core import _colex_next, _points
 from traceschemes.oracle import render_trace_ipps, render_trace_ts
+from traceschemes.verify import _ipps_pop, _ipps_push, _Work
 
 
 def _triples(v):
@@ -133,6 +136,112 @@ def test_search_is_deterministic():
     a = exhaustive_optimal(SchemeParams(2, 3, 7), "ts")
     b = exhaustive_optimal(SchemeParams(2, 3, 7), "ts")
     assert a == b
+
+
+def _plain_walk(p, prop, budget):
+    """The search as a colex walk that checks every candidate it tries."""
+    masks, best, nodes, work = [], [], 0, _Work()
+    pb = [[] for _ in range(p.v)]
+    levels = [([], []) for _ in range(p.t)]
+    mask = root = (1 << p.w) - 1
+    while masks or mask == root:
+        nodes += 1
+        if nodes > budget:
+            return best, nodes, False
+        masks.append(mask)
+        if prop == "ts":
+            ok = oracle._ts_extension_ok(masks, p.w, p.t, work)
+        elif prop == "cff":
+            ok = oracle._cff_extension_ok(masks, pb, p.w, p.t, work)
+        else:
+            ok = oracle._ipps_extension_ok(masks, pb, levels, p.w, p.t, work)
+        if ok:
+            best = max(best, masks.copy(), key=len)  # the first of the largest
+            for q in _points(mask):
+                pb[q].append(len(masks) - 1)
+            if prop == "ipps":
+                _ipps_push(levels, mask, len(masks) - 1)
+        else:
+            masks.pop()
+        mask = _colex_next(mask)
+        while mask >> p.v and masks:
+            mask = masks.pop()
+            for q in _points(mask):
+                pb[q].pop()
+            if prop == "ipps":
+                _ipps_pop(levels)
+            mask = _colex_next(mask)
+    return best, nodes, True
+
+
+@st.composite
+def search_cases(draw):
+    t = draw(st.integers(2, 3))
+    w = draw(st.integers(t, 5))
+    v = draw(st.integers(w, 8))
+    budget = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 2_500)))
+    return draw(st.sampled_from(["ts", "ipps", "cff"])), SchemeParams(t, w, v), budget
+
+
+@settings(max_examples=80)
+@given(search_cases())
+@example(("ts", SchemeParams(2, 4, 8), 10**6))
+@example(("ipps", SchemeParams(2, 3, 7), 10**6))
+@example(("cff", SchemeParams(3, 3, 7), 10**6))
+@example(("cff", SchemeParams(2, 3, 7), 1_000))
+def test_search_is_the_plain_walk(case):
+    # Forward checking skips only candidates a smaller family on the path
+    # failed, so the optimum, the witness, the nodes and ``complete`` are
+    # those of the walk that checks every candidate, at every budget.
+    prop, p, budget = case
+    best, nodes, complete = _plain_walk(p, prop, budget)
+    r = exhaustive_optimal(p, prop, budget=budget)
+    assert (r.optimum, r.nodes_explored, r.complete) == (len(best), nodes, complete)
+    assert r.witness_family.blocks == tuple(tuple(_points(m)) for m in best)
+
+
+def _count_checks(monkeypatch):
+    counts = Counter()
+    for name in ("_ts_extension_ok", "_cff_extension_ok", "_ipps_extension_ok"):
+        def counted(*args, _check=getattr(oracle, name), _name=name):
+            counts[_name] += 1
+            return _check(*args)
+        monkeypatch.setattr(oracle, name, counted)
+    return counts
+
+
+def test_search_checks_only_what_the_parent_passed(monkeypatch):
+    # The plain walk checks every node: 4,569, 2,256, 3,093, 1,507 and 7,281
+    # on this grid, perfbench's.  A complete search checks each candidate at
+    # most once per family, never the root, so at most nodes - 1 times.
+    counts = _count_checks(monkeypatch)
+    for prop, p, nodes, checks in (
+            ("ts", SchemeParams(2, 4, 8), 4_569, 2_435),
+            ("ts", SchemeParams(2, 5, 8), 2_256, 1_545),
+            ("ipps", SchemeParams(2, 3, 7), 3_093, 1_523),
+            ("ipps", SchemeParams(2, 4, 7), 1_507, 695),
+            ("cff", SchemeParams(2, 3, 7), 7_281, 3_596)):
+        counts.clear()
+        r = exhaustive_optimal(p, prop)
+        assert r.complete and r.nodes_explored == nodes
+        assert counts[f"_{prop}_extension_ok"] == checks <= nodes - 1, (prop, p)
+
+
+def test_search_checks_stay_within_twice_the_budget(monkeypatch):
+    # A family decides ahead only what the node budget left can reach, and
+    # past the walk's own candidate only while the run's allowance of
+    # ``budget`` such checks lasts, so a budget-stopped walk that descends
+    # at every step still makes at most 2 * budget checks.  Deciding up to
+    # the last w-set instead made 20, 4,000, 40,000 and 39,975 checks here.
+    counts = _count_checks(monkeypatch)
+    for prop, p, budget, checks in (("ts", SchemeParams(2, 11, 22), 10, 17),
+                                    ("ts", SchemeParams(2, 11, 22), 2_000, 3_997),
+                                    ("ts", SchemeParams(2, 11, 22), 20_000, 39_997),
+                                    ("cff", SchemeParams(2, 2, 200), 20_000, 39_974)):
+        counts.clear()
+        r = exhaustive_optimal(p, prop, budget=budget)
+        assert (r.complete, r.nodes_explored) == (False, budget + 1)
+        assert counts[f"_{prop}_extension_ok"] == checks <= 2 * budget, (prop, p, budget)
 
 
 # --- cover failure -> evasion trace ------------------------------------------

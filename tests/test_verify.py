@@ -61,6 +61,7 @@ from traceschemes.verify import (
     _PackedCounts,
     _pairwise_certificate,
     _point_columns,
+    _selection_bits,
     _ts_evader,
     _ts_packs,
     _ts_witness,
@@ -1317,9 +1318,9 @@ def test_ipps_refuses_a_size_before_listing_anything():
     # and the pairs, not for the 3,391,024 triples, so the walk stops before
     # any selection is listed; listing the singles and pairs took 7.5 MiB.
     # The default budget pays for the triples too, but their 3,428,699
-    # selections so far, at 273 + 274 bits each, pass the table cap, so they
-    # are refused unlisted: the 233,170,575 selections up to size 4 would
-    # take tens of GB.
+    # selections so far, at 1,344 bits each (_selection_bits(273, 274)),
+    # pass the table cap, so they are refused unlisted: the 233,170,575
+    # selections up to size 4 would take tens of GB.
     s = new_set_system(273, [*pg_lines(2, 16).blocks, tuple(range(1, 18))])
     listed = 274 + comb(274, 2) + comb(274, 3)
     for budget, detail, work in (
@@ -1334,6 +1335,34 @@ def test_ipps_refuses_a_size_before_listing_anything():
             tracemalloc.stop()
         assert (out.verdict, out.detail, out.work) == ("inconclusive", detail, work)
         assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("v, m, w, t", [(20, 40, 5, 3), (30, 120, 6, 2)])
+def test_ipps_table_cap_counts_what_the_selections_take(monkeypatch, v, m, w, t):
+    # Each selection is counted at its two int objects and five list slots.
+    # With the cap set to exactly the listing's count, the run decides, and
+    # its peak stays within 1.5 times the cap (1.27 and 1.10 measured; list
+    # over-allocation and the per-point filter's ints make the rest).  One
+    # bit less and the same run is refused before it lists anything.
+    rng = random.Random(1)
+    blocks = set()
+    while len(blocks) < m:
+        blocks.add(tuple(sorted(rng.sample(range(v), w))))
+    s = new_set_system(v, sorted(blocks))
+    listed = sum(comb(m, k) for k in range(1, t + 1))
+    cap = listed * _selection_bits(v, m)
+    for bits, verdict in ((cap, "violated"), (cap - 1, "inconclusive")):
+        monkeypatch.setattr(traceschemes.verify, "_TABLE_BITS", bits)
+        tracemalloc.start()
+        try:
+            out = verify_ipps(s, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.verdict == verdict
+        assert 8 * peak < 1.5 * bits, (8 * peak / bits, verdict)
+    assert out.detail == f"{listed} selections of at most {t} blocks exceed the table cap"
+    assert 8 * peak < bits / 100
 
 
 @given(wide_systems(), st.integers(1, 3), st.integers(0, 2000))
@@ -1538,9 +1567,7 @@ def test_ipps_extension_check_matches_brute_force(case):
     expected = [(unions.copy(), bits.copy()) for unions, bits in levels]
     ok = _ipps_extension_ok(masks, pb, levels, w, t, _Work())
     assert ok == brute_ipps(new_set_system(v, [*family, new]), t)
-    if ok:  # the lists gain the new block only when it is accepted
-        _ipps_push(expected, masks[-1], f.m)
-    assert levels == expected
+    assert levels == expected  # the check leaves the lists as it found them
 
 
 @given(small_systems(), st.integers(1, 3))
