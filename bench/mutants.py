@@ -81,8 +81,28 @@ MUTANTS = {
         "(self.half - w + 1) * self.ones"),
     "row-max-skip-le": (
         "verify.py",
-        "if sum(map(rowmax.__getitem__, c)) < least[k]:",
-        "if sum(map(rowmax.__getitem__, c)) <= least[k]:"),
+        "if k == 1 or total < least[k]:",
+        "if k == 1 or total <= least[k]:"),
+    "row-max-subtree-le": (
+        "verify.py",
+        "dead = total + extra * after[x + 1] < least[k + extra]",
+        "dead = total + extra * after[x + 1] <= least[k + extra]"),
+    "row-max-subtree-top-1": (
+        "verify.py",
+        "                extra = t - k\n",
+        "                extra = t - k - 1\n"),
+    "row-max-suffix-min": (
+        "verify.py",
+        "accumulate(reversed(rowmax), max)",
+        "accumulate(reversed(rowmax), min)"),
+    "row-max-subtree-charges-a-size-more": (
+        "verify.py",
+        "for j in range(1, extra + 1):",
+        "for j in range(1, extra + 2):"),
+    "row-max-subtree-charge-past-the-budget": (
+        "verify.py",
+        "skipped = room + 1",
+        "pass"),
     "ts-packs-strict": (
         "verify.py",
         "2 * need <= sum(caps)",

@@ -5,10 +5,13 @@ family (CFF), strength-t parent-identifying set system (IPPS, plus its
 variant over pirate sets larger than one block width), and strength-t
 traceability scheme (TS).  Exhaustive mode covers the full quantifier
 space and is decisive.  For TS it walks the coalitions in lexicographic
-order in one loop that carries, beside the member list, the packed state
-of each of its prefixes.  It first drops every outsider of a coalition
-that cannot overlap the union enough, all at once, by big-integer sums of
-overlap counts packed one field per block; it then decides whether some
+order in one loop that carries, beside the member list, the row-max sum
+and the packed state of each of its prefixes.  It passes in one step over
+a member list below which no coalition can pass the row-max test, and
+charges those coalitions in closed form.  Of a coalition that passes, it
+first drops every outsider that cannot overlap the union enough, all at
+once, by big-integer sums of overlap counts packed one field per block;
+it then decides whether some
 pirate set evades the coalition by counting overlaps, and builds the
 witness's pirate set a point at a time by the same counting.
 Certified mode, for TS only, proves the property from the pairwise
@@ -36,7 +39,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from functools import reduce
-from itertools import chain, combinations, compress, repeat
+from itertools import accumulate, chain, combinations, compress, islice, repeat
 from math import comb
 from operator import and_, or_
 from typing import NamedTuple
@@ -643,6 +646,19 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
     coalition, :func:`_ts_witness` builds the lexicographically first
     pirate set from the same counts, without listing w-subsets of the union.
 
+    The first test compares the members' row maxima, each one's largest
+    overlap with another block, summed, with ceil(w / |C|).  ``sums[d]``,
+    the sum for c[:d + 1], is kept with c[d] as ``states[d]`` is, so the
+    test costs one addition.  The row maxima are learnt as the first sweep,
+    up to [0, 1, ..., t - 2, m - 1], reaches each block.  After it, a member
+    list is passed over with every coalition below it when the largest of
+    them, of min(t, |c| + m - 1 - c[-1]) blocks, fails the test even with
+    each added member at the largest row maximum above c[-1]: the sum grows
+    with the members added and ceil(w / k) falls, so none of them passes.
+    They are charged in closed form, C(n, 1) + C(n, 2) + ... over the n
+    blocks above c[-1], one unit each as if visited, and a charge that
+    would pass the budget stops at budget + 1, where visiting them would.
+
     Certified mode accepts :func:`_pairwise_certificate`'s bound, checked
     up to the first pair that fails it, and is otherwise inconclusive.  Its
     core is the d points ``certificate`` says were appended, the last d
@@ -688,27 +704,56 @@ def verify_ts(s: SetSystem, t: int, mode: str = EXHAUSTIVE,
     try:
         maxima = map(_largest, _overlaps(s, work, cols))
         rowmax: list[int] = []
+        # max(rowmax[j:]) once rowmax is full; until then w, with which no
+        # member list that can still grow is passed over
+        after = [w] * (m + 1)
         c: list[int] = [0]
+        sums = [0]
         states: list[tuple[int, int, int, int] | None] = [None]
+        dead = False
         while True:
-            if len(c) < t and c[-1] + 1 < m:
+            if not dead and len(c) < t and c[-1] + 1 < m:
                 c.append(c[-1] + 1)
+                sums.append(0)
                 states.append(None)
             else:
                 if c[-1] + 1 == m:
                     c.pop()
+                    sums.pop()
                     states.pop()
                     if not c:
                         break
                 c[-1] += 1
                 states[-1] = None
-            k = len(c)
-            if k < 2:
+            k, x = len(c), c[-1]
+            if k == 1:
+                total = sums[0] = rowmax[x]
+            else:
+                work.tick()
+                if len(rowmax) <= x:
+                    # The first sweep: c is [0, 1, ..., k - 2, x], and [0]
+                    # was entered before any row maximum was known.
+                    rowmax.extend(islice(maxima, x + 1 - len(rowmax)))
+                    sums[0] = rowmax[0]
+                    if len(rowmax) == m:
+                        after = [*accumulate(reversed(rowmax), max)][::-1] + [0]
+                total = sums[-1] = sums[-2] + rowmax[x]
+            # The largest coalition below c adds ``extra`` members above x.
+            extra = m - 1 - x
+            if extra > t - k:
+                extra = t - k
+            dead = total + extra * after[x + 1] < least[k + extra]
+            if dead:
+                if extra:  # charge what visiting the coalitions below c would
+                    room, skipped = work.budget - work.count, 0
+                    for j in range(1, extra + 1):
+                        skipped += comb(m - 1 - x, j)
+                        if skipped > room:
+                            skipped = room + 1
+                            break
+                    work.tick(skipped)
                 continue
-            work.tick()
-            while len(rowmax) <= c[-1]:
-                rowmax.append(next(maxima))
-            if sum(map(rowmax.__getitem__, c)) < least[k]:
+            if k == 1 or total < least[k]:
                 continue
             if fits:
                 # The known states are a prefix of ``states``; extend the last.

@@ -301,3 +301,26 @@ def test_atlas_rows_attain_the_ts_upper_bound():
     # work runs from 525 for pg_lines(2, 4) to 6,127,500 for pg_lines(2, 49)
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
         "62876a65b31a66226e4d835e2f350906fdde13da629f9d300b8ed9c511082157")
+
+
+# The atlas rows that exhaustive TS decides within the default budget, with
+# their work.  The other four (pg_lines(2, 25) at t=5, pg_lines(2, 49) at
+# t=7, ag_lines(2, 37) at t=6, hermitian_unital(9) at t=3) give up there.
+EXHAUSTIVE_ATLAS = [(pg_lines, (2, 4), 2, 735), (pg_lines, (2, 9), 3, 134_680),
+                    (pg_lines, (2, 16), 4, 229_857_901), (ag_lines, (2, 5), 2, 1_335),
+                    (ag_lines, (2, 17), 4, 363_069_561), (pg_lines, (3, 4), 2, 101_031),
+                    (hermitian_unital, (4,), 2, 38_168), (inversive_plane, (8,), 2, 471_900)]
+
+
+@pytest.mark.parametrize("family,args,t,work", EXHAUSTIVE_ATLAS,
+                         ids=[f"{f.__name__}{a}-t{t}" for f, a, t, _ in EXHAUSTIVE_ATLAS])
+def test_atlas_rows_hold_exhaustively(family, args, t, work):
+    # Exhaustive TS confirms the certificate on its own.  Its work is one
+    # unit for each coalition of 2..t blocks and deg(p) for each incidence of
+    # a point p: the walk charged every coalition once, those it passed over
+    # with the subtree they head too.
+    s = family(*args)
+    degrees = Counter(p for b in s.blocks for p in b)
+    assert work == sum(comb(s.m, k) for k in range(2, t + 1)) + sum(d * d for d in degrees.values())
+    out = verify_ts(s, t)
+    assert (out.verdict, out.mode, out.work) == ("holds", "exhaustive", work)

@@ -1054,6 +1054,111 @@ def test_row_max_skips_every_pair_of_lines():
     assert _assert_row_max_skips_are_sound(pg_lines(2, 4), 2) == 210
 
 
+def _plain_ts_walk(s, t, budget):
+    """Exhaustive TS coalition by coalition: each of 2..t blocks, in
+    lexicographic order, costs one unit and meets the row-max test on its
+    own, and one that passes is decided by the scalar scan.  A block's
+    largest overlap is paid for when a coalition first reaches the block."""
+    work = _Work(budget)
+    maxima = map(_largest, _overlaps(s, work, _point_columns(s)))
+    rowmax = []
+    try:
+        for coal in sorted(c for k in range(2, t + 1) for c in combinations(range(s.m), k)):
+            work.tick()
+            while len(rowmax) <= coal[-1]:
+                rowmax.append(next(maxima))
+            if sum(rowmax[i] for i in coal) < _ceil_div(s.w, len(coal)):
+                continue
+            found = _ts_witness(s.masks, coal, [o for o in range(s.m) if o not in coal], s.w, work)
+            if found is not None:
+                wit = TsEvasion(coalition=coal, pirate=found[0], outsider=found[1])
+                return VerifyOutcome("violated", "exhaustive", wit, "", work.count)
+    except _BudgetStop:
+        return VerifyOutcome("inconclusive", "exhaustive", None, "BudgetExceeded", work.count)
+    return VerifyOutcome("holds", "exhaustive", None, "", work.count)
+
+
+_LINE_DESIGNS = [pg_lines(2, 3), pg_lines(2, 4), ag_lines(2, 3), ag_lines(2, 4),
+                 hermitian_unital(3)]
+
+
+@st.composite
+def planted_designs(draw):
+    """Up to 24 lines of a linear space plus up to two drawn blocks of its
+    width: the row-max skip fires on the lines away from the planted blocks."""
+    base = draw(st.sampled_from(_LINE_DESIGNS))
+    lines = base.blocks[:draw(st.integers(2, min(base.m, 24)))]
+    block = st.lists(st.integers(0, base.v - 1), min_size=base.w, max_size=base.w, unique=True)
+    planted = draw(st.lists(block.map(sorted).map(tuple), max_size=2))
+    return new_set_system(base.v, sorted({*lines, *planted}))
+
+
+def _joined(first, second):
+    """The blocks of ``first``, then those of ``second`` on points after first's."""
+    return new_set_system(first.v + second.v,
+                          [*first.blocks, *(tuple(p + first.v for p in b) for b in second.blocks)])
+
+
+# Lines of width 4 with one point added to all of them: they meet in two points.
+_CONES = [new_set_system(s.v + 1, [(*b, s.v) for b in s.blocks])
+          for s in (pg_lines(2, 3), ag_lines(2, 4))]
+
+
+@st.composite
+def joined_designs(draw):
+    """Up to 16 lines of PG(2, 4) or AG(2, 5), then up to 8 of the cone blocks
+    on points of their own.  A line and a cone block pass the row-max test,
+    1 + 2 against ceil(5 / 2), and two lines do not, so the walk must not
+    pass over a line's subtree: a cone block lies above every line."""
+    first = draw(st.sampled_from([pg_lines(2, 4), ag_lines(2, 5)]))
+    second = draw(st.sampled_from(_CONES))
+    lines = new_set_system(first.v, first.blocks[:draw(st.integers(2, 16))])
+    return _joined(lines, new_set_system(second.v, second.blocks[:draw(st.integers(1, 8))]))
+
+
+@given(st.one_of(wide_systems(), sparse_systems(), planted_designs(), joined_designs()),
+       st.integers(2, 4), st.integers(0, 1001))
+# pg_lines(2, 4) at t = 2 holds at work 735; a budget of 600 ends at the
+# pair (4, 6), below [4], which the walk passes over in one step.
+@example(pg_lines(2, 4), 2, 817)
+# Bounding the members to come by less than their largest row maximum, 2,
+# would pass over the pairs of lines 1 to 20 with the 13 cone blocks here.
+@example(_joined(pg_lines(2, 4), _CONES[0]), 2, 1001)
+def test_ts_walk_is_the_plain_walk(s, t, share):
+    # Passing over a coalition whose whole subtree fails the row-max test
+    # keeps the verdict, the witness, the detail and the work of the walk
+    # that meets every coalition, at a budget stop inside the subtree too.
+    full = _plain_ts_walk(s, t, 10**9)
+    assert verify_ts(s, t) == full
+    budget = full.work * share // 1000
+    assert verify_ts(s, t, budget=budget) == _plain_ts_walk(s, t, budget)
+
+
+def test_ts_skip_stops_at_the_budget_inside_a_skipped_subtree():
+    # Lines of PG(2, 16) meet in one point, so once its first sweep has
+    # learnt every row maximum, the walk passes over [0, 1, 3], [0, 2], [1],
+    # ... in one step each: at most 1 + 3 = 4 against ceil(17 / 4) = 5.  It
+    # charges the coalitions below them one unit each, so a budget that ends
+    # after the sweep (work 79,169: 272 coalitions and the overlap pass)
+    # stops at budget + 1, as a walk that meets them one by one does, and the
+    # full work is every coalition of 2..4 lines plus the overlap pass.
+    s = pg_lines(2, 16)
+    full = sum(comb(273, k) for k in range(2, 5)) + 273 * 17 * 17
+    for budget in (0, 79_169, 10**6, 10**8, full - 1):
+        assert verify_ts(s, 4, budget=budget) == VerifyOutcome(
+            "inconclusive", "exhaustive", detail="BudgetExceeded", work=budget + 1)
+    assert verify_ts(s, 4, budget=full) == VerifyOutcome("holds", "exhaustive", work=full)
+
+
+def test_ts_skip_of_a_deep_subtree_stops_at_the_budget():
+    # 1,200 disjoint pairs meet no other block, so every coalition fails the
+    # row-max test; at t = 1,100 the coalitions below one member list can
+    # number far more than the budget, and the walk stops at budget + 1.
+    s = new_set_system(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
+    assert verify_ts(s, 1100) == VerifyOutcome(
+        "inconclusive", "exhaustive", detail="BudgetExceeded", work=10**9 + 1)
+
+
 @st.composite
 def overlap_systems(draw):
     """Up to 100 blocks of one to nine points on at most 14, so the planes
